@@ -189,20 +189,18 @@ def effective_coefficient(
     Dispatches on the advantage sign: nonnegative goes through the boost
     denominator, negative through the entropy-aware penalty with the scale
     computed from the slate entropy and the tracker's running average. An
-    uninitialized tracker contributes no penalty (scale 1).
+    uninitialized tracker contributes no penalty (scale 1). Computed in the
+    equivalent capped form (e.g. min(r, 1 + eps_boost)) shared with
+    :func:`sage_coefficients`.
     """
-    r = _check_ratio(r)
-    if advantage >= 0:
-        return r / boost_denominator(r, config)
-    h_avg = tracker.mean if tracker.initialized else h
-    scale = entropy_penalty_scale(h, h_avg, config.diversity_temp)
-    return r / penalty_denominator(r, scale, config)
+    if h < 0:
+        raise ValueError("entropies must be >= 0")
+    return float(_sage(_check_ratio(r), advantage, h, tracker, config))
 
 
 def gbpo_coefficient(r: float) -> float:
     """Static symmetric baseline bound: min(r, 1) for either advantage sign."""
-    r = _check_ratio(r)
-    return min(r, 1.0)
+    return min(_check_ratio(r), 1.0)
 
 
 def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> float:
@@ -212,12 +210,56 @@ def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> 
     positive advantages are capped at 1 + clip_eps, negative ones floored at
     1 - clip_eps; inside the band the raw ratio passes through.
     """
-    r = _check_ratio(r)
+    return float(_grpo(_check_ratio(r), advantage, clip_eps))
+
+
+# The array forms below take log-ratios, one entry per slate. A ratio that
+# underflows to exp(log_r) == 0.0 is a valid, vanishing ratio; an overflow
+# gives an inf coefficient, which the caller reports as a numeric failure.
+
+
+def _ratios(log_r) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.exp(np.asarray(log_r, dtype=np.float64))
+
+
+def sage_coefficients(log_r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
+    """Array form of :func:`effective_coefficient` over a batch of slates."""
+    return _sage(_ratios(log_r), advantages, entropies, tracker, config)
+
+
+def gbpo_coefficients(log_r):
+    """Array form of :func:`gbpo_coefficient`."""
+    return np.minimum(_ratios(log_r), 1.0)
+
+
+def grpo_clip_coefficients(log_r, advantages, clip_eps: float = 0.2):
+    """Array form of :func:`grpo_clip_coefficient`; an underflowed ratio gets the floor."""
+    return _grpo(_ratios(log_r), advantages, clip_eps)
+
+
+def _sage(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
+    h = np.asarray(entropies, dtype=np.float64)
+    h_avg = tracker.mean if tracker.initialized else h
+    scale = 1.0 + config.diversity_temp * np.tanh(np.maximum(0.0, h_avg - h))
+    cap = 1.0 + config.eps_boost
+    if config.pos_mode == TEXT_INTENT:
+        pos = np.minimum(r, cap)
+    else:
+        pos = np.where(r <= cap, r, r * cap)
+    if config.neg_mode == TEXT_INTENT:
+        neg = np.minimum(r, 1.0) * scale
+    else:
+        neg = r / np.maximum(1.0, (1.0 - r) / scale)
+    return np.where(np.asarray(advantages) >= 0, pos, neg)
+
+
+def _grpo(r, advantages, clip_eps: float):
     if not 0 < clip_eps < 1:
         raise ValueError(f"clip_eps must lie in (0, 1), got {clip_eps}")
-    if advantage >= 0:
-        return min(r, 1.0 + clip_eps)
-    return max(r, 1.0 - clip_eps)
+    return np.where(
+        np.asarray(advantages) >= 0, np.minimum(r, 1.0 + clip_eps), np.maximum(r, 1.0 - clip_eps)
+    )
 
 
 class BoundaryPoint(NamedTuple):

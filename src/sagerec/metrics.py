@@ -37,6 +37,20 @@ class RankedRecommendation:
             raise ValueError(f"user {self.user_id}: ranked list contains duplicates")
 
 
+def top_k_ids(scores: np.ndarray, k: int) -> tuple[int, ...]:
+    """The k highest-scoring item ids of one score row, ties broken by lower id.
+
+    Equals the first k of a full (-score, id) lexsort. Only the items at or
+    above the k-th largest score are sorted, which is O(n) per row instead of
+    O(n log n).
+    """
+    n = scores.shape[0]
+    kth = np.partition(scores, n - k)[n - k]
+    candidates = np.flatnonzero(scores >= kth)
+    order = np.lexsort((candidates, -scores[candidates]))
+    return tuple(int(i) for i in candidates[order[:k]])
+
+
 def _check_k(rec: RankedRecommendation, k: int) -> tuple[int, ...]:
     if k < 1:
         raise ValueError("k must be >= 1")

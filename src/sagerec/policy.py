@@ -2,9 +2,11 @@
 
 The policy scores item i for user u as ``user_emb(u) . item_emb(i) + item_bias(i)``
 and generates a slate by repeated softmax draws over the items not already
-picked (no-repeat masking). Everything is exact 64-bit numpy: log-probabilities
-and their analytic gradients are available in closed form, which is what the
-optimizers build on.
+picked (no-repeat masking): a Plackett–Luce distribution. One array kernel,
+``gumbel_top_k`` to sample and ``SlateScan`` to score, serves both the
+training batches and the one-slate functions. Everything is exact 64-bit
+numpy: log-probabilities and their analytic gradients are available in closed
+form, which is what the optimizers build on.
 """
 
 from __future__ import annotations
@@ -159,16 +161,80 @@ def user_scores(params: PolicyParams, user: int) -> np.ndarray:
     return params.item_embeddings @ params.user_embeddings[user] + params.item_bias
 
 
-def _masked_log_probs(scores: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-    """Log-softmax of ``scores`` restricted to unblocked items.
+def gumbel_top_k(
+    scores: np.ndarray, group_size: int, slate_length: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``group_size`` slates per score row, returned as (B, G, L) item ids.
 
-    Returns -inf at blocked positions. The same code path backs sampling,
-    scoring and gradients, so stored log-probs reproduce exactly.
+    Gumbel-top-k (Kool, van Hoof & Welling, 2019): perturbing every score
+    once with -log(Exp(1)) noise and keeping the L largest keys in key order
+    is an exact draw of the sequential no-repeat softmax. The noise is one
+    (B, G, n) block, so the random stream does not depend on the outcome.
     """
-    masked = np.where(blocked, -np.inf, scores)
-    m = masked.max()
-    logz = m + np.log(np.exp(masked - m).sum())
-    return masked - logz
+    B, n = scores.shape
+    if slate_length < 1:
+        raise ValueError("slate length must be >= 1")
+    if slate_length > n:
+        raise ValueError(f"catalog has {n} items, cannot fill L={slate_length}")
+    keys = rng.standard_exponential((B, group_size, n))
+    np.log(keys, out=keys)
+    np.subtract(scores[:, None, :], keys, out=keys)
+    top = np.argpartition(keys, n - slate_length, axis=2)[:, :, n - slate_length :]
+    order = np.argsort(-np.take_along_axis(keys, top, axis=2), axis=2)
+    return np.take_along_axis(top, order, axis=2)
+
+
+class SlateScan:
+    """Plackett–Luce log-probabilities of slates, and their gradient weights.
+
+    ``scores`` is (B, n), one row per user; ``items`` is (B, G, L), G slates
+    of L distinct items per row. The normaliser at position t of a slate is
+    ``logaddexp(out, LSE(score[i_t:]))``: ``out`` is the log-sum-exp of the
+    items outside the slate, taken in one masked pass shifted by the row's
+    own max, and the second term is a reverse accumulation over the slate's
+    own L scores. Both are sums of positive terms, so no digits cancel
+    however much mass the prefix holds. Every slate is reduced on its own,
+    so a slate's numbers do not depend on the rest of the batch.
+    """
+
+    def __init__(self, scores: np.ndarray, items: np.ndarray) -> None:
+        B, G, L = items.shape
+        rows = np.arange(B)[:, None, None]
+        self.items = items
+        self.chosen = scores[rows, items]
+        # outside[b, g] holds exp(score - m) off slate (b, g) and 0 on it.
+        self.outside = np.repeat(scores[:, None, :], G, axis=1)
+        self.outside[rows, np.arange(G)[None, :, None], items] = -np.inf
+        self.m = self.outside.max(axis=2)
+        # A catalog-covering slate leaves nothing outside: its m is -inf.
+        shift = np.where(np.isneginf(self.m), 0.0, self.m)
+        np.subtract(self.outside, shift[:, :, None], out=self.outside)
+        np.exp(self.outside, out=self.outside)
+        with np.errstate(divide="ignore"):
+            out = shift + np.log(self.outside.sum(axis=2))
+        tail = np.logaddexp.accumulate(self.chosen[:, :, ::-1], axis=2)[:, :, ::-1]
+        self.lognorm = np.logaddexp(out[:, :, None], tail)
+        self.logps = self.chosen - self.lognorm
+
+    def weights(self, alpha: np.ndarray) -> np.ndarray:
+        """Per row, sum over slates of alpha times the log-prob gradient weights.
+
+        A slate's weight vector is the sum over positions of one-hot(chosen)
+        minus the masked softmax; ``alpha`` is (B, G). Items outside a slate
+        carry exp(score) / Z_t at every position, which factors into the
+        stored ``outside`` row times one scalar per slate. The slate's own
+        items, available up to their position, are added with one bincount.
+        """
+        B, G, L = self.items.shape
+        n = self.outside.shape[2]
+        out_coef = -alpha * np.exp(self.m[:, :, None] - self.lognorm).sum(axis=2)
+        w = np.einsum("bg,bgn->bn", out_coef, self.outside)
+        taken = np.exp(self.chosen + np.logaddexp.accumulate(-self.lognorm, axis=2))
+        flat = (np.arange(B)[:, None, None] * n + self.items).ravel()
+        w += np.bincount(
+            flat, (alpha[:, :, None] * (1.0 - taken)).ravel(), minlength=B * n
+        ).reshape(B, n)
+        return w
 
 
 def _check_items(params: PolicyParams, items) -> tuple[int, ...]:
@@ -183,102 +249,60 @@ def _check_items(params: PolicyParams, items) -> tuple[int, ...]:
     return items
 
 
+def _scan_one(params: PolicyParams, user: int, items) -> SlateScan:
+    items = _check_items(params, items)
+    return SlateScan(user_scores(params, user)[None, :], np.array([[items]]))
+
+
 def next_item_distribution(
     params: PolicyParams, user: int, prefix=()
 ) -> np.ndarray:
     """Probability of each item at the next slate position.
 
     The returned vector has one entry per catalog item, is exactly zero on
-    prefix items, and sums to 1 over the rest.
+    prefix items, and sums to 1 over the rest: the plain masked softmax.
     """
     prefix = tuple(int(i) for i in prefix)
     if len(set(prefix)) != len(prefix):
         raise ValueError("prefix contains repeated items")
     if len(prefix) >= params.n_items:
         raise RuntimeError("prefix exhausts the catalog; no next item exists")
-    scores = user_scores(params, user)
-    blocked = np.zeros(params.n_items, dtype=bool)
+    masked = user_scores(params, user)
     for i in prefix:
         if not 0 <= i < params.n_items:
             raise ValueError(f"prefix item id {i} out of range")
-        blocked[i] = True
-    logp = _masked_log_probs(scores, blocked)
-    probs = np.exp(logp)
-    probs[blocked] = 0.0
+        masked[i] = -np.inf
+    probs = np.exp(masked - masked.max())
     return probs / probs.sum()
 
 
 def sample_slate(
     params: PolicyParams, user: int, L: int, rng: np.random.Generator
 ) -> Slate:
-    """Draw L items autoregressively without replacement, recording log-probs."""
-    if L < 1:
-        raise ValueError("slate length must be >= 1")
-    if L > params.n_items:
-        raise ValueError(f"catalog has {params.n_items} items, cannot fill L={L}")
-    scores = user_scores(params, user)
-    blocked = np.zeros(params.n_items, dtype=bool)
-    items: list[int] = []
-    logps = np.empty(L)
-    for t in range(L):
-        logp = _masked_log_probs(scores, blocked)
-        probs = np.exp(logp)
-        probs[blocked] = 0.0
-        choice = int(rng.choice(params.n_items, p=probs / probs.sum()))
-        items.append(choice)
-        logps[t] = logp[choice]
-        blocked[choice] = True
-    return Slate(user_id=user, items=tuple(items), logps=logps)
+    """Draw L items without replacement, recording their log-probs."""
+    scores = user_scores(params, user)[None, :]
+    items = gumbel_top_k(scores, 1, L, rng)
+    logps = SlateScan(scores, items).logps[0, 0]
+    return Slate(user_id=user, items=tuple(int(i) for i in items[0, 0]), logps=logps)
 
 
 def slate_log_prob(
     params: PolicyParams, user: int, items
 ) -> tuple[float, np.ndarray]:
     """Total and per-position log-probability of generating ``items`` in order."""
-    items = _check_items(params, items)
-    scores = user_scores(params, user)
-    per_position = _positional_log_probs(scores, items)
+    per_position = _scan_one(params, user, items).logps[0, 0]
     return float(per_position.sum()), per_position
-
-
-def _positional_log_probs(scores: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
-    blocked = np.zeros(scores.shape[0], dtype=bool)
-    out = np.empty(len(items))
-    for t, item in enumerate(items):
-        logp = _masked_log_probs(scores, blocked)
-        out[t] = logp[item]
-        blocked[item] = True
-    return out
-
-
-def _selection_weights(scores: np.ndarray, items: tuple[int, ...]) -> np.ndarray:
-    """Sum over positions of (one-hot(chosen) - masked softmax probs).
-
-    This vector w carries the whole gradient of the slate log-probability:
-    d/d bias = w, d/d item_emb = outer(w, u), d/d user_emb = item_emb.T @ w.
-    """
-    n = scores.shape[0]
-    blocked = np.zeros(n, dtype=bool)
-    w = np.zeros(n)
-    for item in items:
-        logp = _masked_log_probs(scores, blocked)
-        probs = np.exp(logp)
-        probs[blocked] = 0.0
-        w -= probs
-        w[item] += 1.0
-        blocked[item] = True
-    return w
 
 
 def log_prob_grad(params: PolicyParams, user: int, items) -> PolicyGradient:
     """Analytic gradient of the total slate log-probability.
 
     Returns the sum over positions of grad log pi(i_t | u, prefix); callers
-    that want the per-item average apply their own 1/L.
+    that want the per-item average apply their own 1/L. The slate's weight
+    vector w carries the whole gradient: d/d bias = w, d/d item_emb =
+    outer(w, u), d/d user_emb = item_emb.T @ w.
     """
-    items = _check_items(params, items)
-    scores = user_scores(params, user)
-    w = _selection_weights(scores, items)
+    w = _scan_one(params, user, items).weights(np.ones((1, 1)))[0]
     grad = PolicyGradient.zeros_like(params)
     grad.item_bias[:] = w
     grad.item_embeddings[:] = np.outer(w, params.user_embeddings[user])
@@ -306,11 +330,11 @@ def mean_first_position_mass(params: PolicyParams, items: np.ndarray) -> float:
     distribution sits on a given item pool (e.g. the cold set).
     """
     items = np.asarray(items, dtype=np.intp)
-    logits = params.user_embeddings @ params.item_embeddings.T + params.item_bias
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return float(probs[:, items].sum(axis=1).mean())
+    z = params.user_embeddings @ params.item_embeddings.T
+    z += params.item_bias
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return float((z[:, items].sum(axis=1) / z.sum(axis=1)).mean())
 
 
 def save_checkpoint(params: PolicyParams, path: str | Path) -> None:

@@ -25,16 +25,16 @@ class TrajectoryGroup:
 
     ``rewards`` is (G, M): one row per slate, one column per objective.
     ``entropies`` caches each slate's category entropy at collection time,
-    for the diversity-aware penalty. ``prob_mass`` optionally caches the
-    (G, n_items) sum over positions of the sampling softmax, letting the
-    first gradient pass against an unchanged policy skip rescoring.
+    for the diversity-aware penalty. ``scores`` optionally keeps the user's
+    (n_items,) score row under the sampling policy, so a gradient pass
+    against unchanged parameters need not rescore the user.
     """
 
     user_id: int
     slates: list[Slate]
     rewards: np.ndarray
     entropies: np.ndarray | None = None
-    prob_mass: np.ndarray | None = None
+    scores: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -78,14 +78,11 @@ def group_normalize(
 
     Each column is centered by the group mean and divided by the population
     standard deviation plus ``eps``. Constant columns come out all zero.
+    A (..., G, M) stack of groups is normalized group by group.
     """
-    rewards = np.asarray(group_rewards, dtype=np.float64)
-    if rewards.ndim != 2:
-        raise ValueError("group_rewards must be a (G, M) matrix")
-    if rewards.shape[0] < 2:
-        raise ValueError("group statistics need at least 2 slates")
-    mu = rewards.mean(axis=0)
-    sd = rewards.std(axis=0)
+    rewards = _check_groups(group_rewards)
+    mu = rewards.mean(axis=-2, keepdims=True)
+    sd = rewards.std(axis=-2, keepdims=True)
     denom = sd + eps
     centered = rewards - mu
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -101,7 +98,7 @@ def decoupled_advantage(z: np.ndarray, weights) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if z.ndim != 2 or w.ndim != 1 or z.shape[1] != w.shape[0]:
+    if z.ndim < 2 or w.ndim != 1 or z.shape[-1] != w.shape[0]:
         raise ValueError(
             f"shape mismatch: z is {z.shape}, weights has length {w.shape[0] if w.ndim == 1 else '?'}"
         )
@@ -134,17 +131,23 @@ def naive_advantage(
     Summing raw objectives first lets one high-variance objective dominate and
     maps behaviorally distinct slates with equal weighted sums to identical
     advantages. Kept as the comparison point for the decoupled estimator.
+    A (..., G, M) stack of groups is normalized group by group.
     """
-    rewards = np.asarray(group_rewards, dtype=np.float64)
-    if rewards.ndim != 2:
-        raise ValueError("group_rewards must be a (G, M) matrix")
-    if rewards.shape[0] < 2:
-        raise ValueError("group statistics need at least 2 slates")
+    rewards = _check_groups(group_rewards)
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (rewards.shape[1],):
+    if w.shape != (rewards.shape[-1],):
         raise ValueError("weights length must match objective count")
     sums = rewards @ w
-    sd = sums.std()
-    if sd == 0.0:
-        return np.zeros_like(sums)
-    return (sums - sums.mean()) / (sd + eps)
+    sd = sums.std(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = (sums - sums.mean(axis=-1, keepdims=True)) / (sd + eps)
+    return np.where(sd == 0.0, 0.0, z)
+
+
+def _check_groups(group_rewards) -> np.ndarray:
+    rewards = np.asarray(group_rewards, dtype=np.float64)
+    if rewards.ndim < 2:
+        raise ValueError("group_rewards must be a (G, M) matrix or a stack of them")
+    if rewards.shape[-2] < 2:
+        raise ValueError("group statistics need at least 2 slates")
+    return rewards

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import top_k_ids
+
 CATALOG_SCHEMA_VERSION = 1
 LOG_CSV_HEADER = ("user_id", "item_id", "timestamp_ordinal")
 
@@ -354,8 +356,7 @@ def relevant_items(
             + config.quality_weight * catalog.quality
             + config.click_bias
         )
-        order = np.lexsort((np.arange(catalog.n_items), -logits))
-        out.append(frozenset(int(i) for i in order[:n_relevant]))
+        out.append(frozenset(top_k_ids(logits, n_relevant)))
     return out
 
 

@@ -10,7 +10,9 @@ batch-averaged over slates. The coefficient is the optimizer axis: adaptive
 bounds, the static symmetric cap, or the clipped surrogate. Because the slate
 log-probability gradient collapses to one weight vector w per slate (one-hot
 of chosen items minus the masked softmax at each position), the whole batch
-gradient reduces to a few matrix products; no per-parameter loops.
+gradient reduces to a few matrix products; no per-parameter loops. Sampling,
+log-probs and weights all come from the one Plackett–Luce kernel in
+``policy``.
 
 Everything is driven by one seeded generator in a fixed order, so runs are
 bit-reproducible.
@@ -19,32 +21,31 @@ bit-reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    BoundConfig,
-    EntropyTracker,
-    effective_coefficient,
-    gbpo_coefficient,
-    grpo_clip_coefficient,
-    list_entropy,
-    update_entropy_ema,
-)
-from .metrics import RankedRecommendation, evaluate_rankings
+from .bounds import BoundConfig, EntropyTracker, update_entropy_ema
+
+# The batch's coefficient stage, bound to the names the per-layer trace
+# (bench/tracing.py) times; the scalar forms stay in ``bounds``.
+from .bounds import gbpo_coefficients as gbpo_coefficient
+from .bounds import grpo_clip_coefficients as grpo_clip_coefficient
+from .bounds import sage_coefficients as effective_coefficient
+from .metrics import RankedRecommendation, evaluate_rankings, top_k_ids
 from .policy import (
     FrozenPolicy,
     PolicyGradient,
     PolicyParams,
     Slate,
+    SlateScan,
     init_policy,
     mean_first_position_mass,
     snapshot,
     user_scores,
 )
+from .policy import gumbel_top_k as _sample_slates
 from .signals import (
     DEFAULT_NORM_EPS,
     TrajectoryGroup,
@@ -53,7 +54,7 @@ from .signals import (
     group_normalize,
     naive_advantage,
 )
-from .simenv import World, feedback, item_vectors
+from .simenv import World, item_vectors
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -160,55 +161,6 @@ class GradientResult:
     n_slates: int
 
 
-def _softmax_rows(
-    scores: np.ndarray, neg_mask: np.ndarray, buf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log-normalizer and probabilities of masked scores.
-
-    ``neg_mask`` holds 0 for available items and -inf for blocked ones;
-    ``buf`` is a (rows, n) scratch array that receives the probabilities.
-    Collection and the gradient pass both run exactly this op sequence, so
-    their log-probs agree bitwise whenever the parameters are unchanged.
-    """
-    np.add(scores, neg_mask, out=buf)
-    m = buf.max(axis=1)
-    np.subtract(buf, m[:, None], out=buf)
-    np.exp(buf, out=buf)
-    s = buf.sum(axis=1)
-    np.divide(buf, s[:, None], out=buf)
-    return m + np.log(s), buf
-
-
-def _sample_slates(
-    scores_rows: np.ndarray, slate_length: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Autoregressive no-repeat sampling for a stack of score rows.
-
-    Returns (items, logps, prob_mass) with shapes (S, L), (S, L), (S, n);
-    prob_mass is the positionwise sum of the sampling distributions, which is
-    the softmax part of the log-prob gradient's weight vector.
-    """
-    S, n = scores_rows.shape
-    if slate_length > n:
-        raise ValueError(f"catalog has {n} items, cannot fill L={slate_length}")
-    neg_mask = np.zeros((S, n))
-    buf = np.empty((S, n))
-    psum = np.zeros((S, n))
-    items = np.empty((S, slate_length), dtype=np.int64)
-    logps = np.empty((S, slate_length))
-    rows = np.arange(S)
-    for t in range(slate_length):
-        logz, probs = _softmax_rows(scores_rows, neg_mask, buf)
-        psum += probs
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random(S) * cdf[:, -1]
-        choice = (cdf <= u[:, None]).sum(axis=1)
-        items[:, t] = choice
-        logps[:, t] = scores_rows[rows, choice] - logz
-        neg_mask[rows, choice] = -np.inf
-    return items, logps, psum
-
-
 def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) -> np.ndarray:
     """Category entropy of every slate row, in nats."""
     S, L = items.shape
@@ -247,31 +199,29 @@ def _score_feedback(
 
 def _build_groups(
     users: np.ndarray,
+    scores: np.ndarray,
     items: np.ndarray,
     logps: np.ndarray,
-    psum: np.ndarray,
     rewards: np.ndarray,
     entropies: np.ndarray,
-    group_size: int,
 ) -> list[TrajectoryGroup]:
-    groups = []
-    for b, user in enumerate(int(u) for u in users):
-        lo = b * group_size
-        hi = lo + group_size
-        slates = [
-            Slate(user_id=user, items=tuple(int(i) for i in items[s]), logps=logps[s].copy())
-            for s in range(lo, hi)
-        ]
-        groups.append(
-            TrajectoryGroup(
-                user_id=user,
-                slates=slates,
-                rewards=rewards[lo:hi].copy(),
-                entropies=entropies[lo:hi].copy(),
-                prob_mass=psum[lo:hi].copy(),
-            )
+    """Split (B, G, ...) collection arrays into one group per user."""
+    G = items.shape[1]
+    rewards = rewards.reshape(len(users), G, -1)
+    entropies = entropies.reshape(len(users), G)
+    return [
+        TrajectoryGroup(
+            user_id=int(user),
+            slates=[
+                Slate(user_id=int(user), items=tuple(int(i) for i in items[b, g]), logps=logps[b, g])
+                for g in range(G)
+            ],
+            rewards=rewards[b],
+            entropies=entropies[b],
+            scores=scores[b],
         )
-    return groups
+        for b, user in enumerate(users)
+    ]
 
 
 def collect_group(
@@ -282,36 +232,10 @@ def collect_group(
     slate_length: int,
     rng: np.random.Generator,
 ) -> TrajectoryGroup:
-    """Sample G slates for one user from the frozen policy and score them.
-
-    All G slates share the user's score vector; positions are sampled jointly
-    across the group by inverse-CDF draws. Feedback consumes a fixed number of
-    draws per slate, in slate order.
-    """
+    """Sample G slates for one user from the frozen policy and score them."""
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    scores = user_scores(frozen, user)
-    scores_rows = np.repeat(scores[None, :], group_size, axis=0)
-    items, logps, psum = _sample_slates(scores_rows, slate_length, rng)
-    rewards = np.stack(
-        [
-            feedback(world.users[user], items[g], world.catalog, rng, world.config.feedback)
-            for g in range(group_size)
-        ]
-    )
-    entropies = np.array(
-        [list_entropy(items[g], world.catalog.categories) for g in range(group_size)]
-    )
-    return TrajectoryGroup(
-        user_id=user,
-        slates=[
-            Slate(user_id=user, items=tuple(int(i) for i in items[g]), logps=logps[g].copy())
-            for g in range(group_size)
-        ],
-        rewards=rewards,
-        entropies=entropies,
-        prob_mass=psum,
-    )
+    return _collect_batch(frozen, world, np.array([user]), group_size, slate_length, rng)[0]
 
 
 def _collect_batch(
@@ -324,29 +248,28 @@ def _collect_batch(
 ) -> list[TrajectoryGroup]:
     """Collect every user's group in one stacked pass (the training hot path).
 
-    Equivalent to per-user collection up to random-stream layout: sampling
-    draws are consumed position-major across all slates, feedback as two
-    (S, L) blocks.
+    Sampling consumes one (B, G, n) block of noise, feedback two (S, L)
+    blocks, so the random stream does not depend on what was drawn.
     """
-    scores_users = np.stack([user_scores(frozen, int(u)) for u in users])
-    scores_rows = np.repeat(scores_users, group_size, axis=0)
-    items, logps, psum = _sample_slates(scores_rows, slate_length, rng)
-    slate_users = np.repeat(users, group_size)
-    rewards = _score_feedback(slate_users, items, world, rng)
-    entropies = _slate_entropies(items, world.catalog.categories, world.catalog.n_subcats)
-    return _build_groups(users, items, logps, psum, rewards, entropies, group_size)
+    scores = np.stack([user_scores(frozen, int(u)) for u in users])
+    items = _sample_slates(scores, group_size, slate_length, rng)
+    logps = SlateScan(scores, items).logps
+    flat = items.reshape(-1, slate_length)
+    rewards = _score_feedback(np.repeat(users, group_size), flat, world, rng)
+    entropies = _slate_entropies(flat, world.catalog.categories, world.catalog.n_subcats)
+    return _build_groups(users, scores, items, logps, rewards, entropies)
 
 
 def _batch_advantages(groups: list[TrajectoryGroup], config: TrainConfig) -> np.ndarray:
     """Per-slate advantages: per-group normalization, then one batch z-score."""
-    weights = config.reward_weights
-    per_group = []
-    for group in groups:
-        if config.advantage_mode == "decoupled":
-            per_group.append(decoupled_advantage(group_normalize(group.rewards, config.norm_eps), weights))
-        else:
-            per_group.append(naive_advantage(group.rewards, weights, config.norm_eps))
-    return batch_normalize(np.concatenate(per_group), config.norm_eps)
+    rewards = np.stack([g.rewards for g in groups])
+    if config.advantage_mode == "decoupled":
+        per_group = decoupled_advantage(
+            group_normalize(rewards, config.norm_eps), config.reward_weights
+        )
+    else:
+        per_group = naive_advantage(rewards, config.reward_weights, config.norm_eps)
+    return batch_normalize(per_group.ravel(), config.norm_eps)
 
 
 def compute_gradient(
@@ -361,7 +284,7 @@ def compute_gradient(
     For every slate: the sequence ratio against the frozen log-probs, the
     advantage from the configured pipeline, the optimizer's coefficient, and
     the analytic per-item-averaged log-prob gradient, accumulated with one
-    weight matrix per user group.
+    weight vector per user group.
     """
     if not groups:
         raise ValueError("empty batch")
@@ -378,77 +301,47 @@ def compute_gradient(
 
     B = len(groups)
     S = B * G
-    n = params.n_items
     users = np.array([g.user_id for g in groups])
-    items = np.array(
-        [s.items for g in groups for s in g.slates], dtype=np.int64
-    ).reshape(S, L)
-    old_logps = np.stack([s.logps for g in groups for s in g.slates])
-
+    items = np.array([[s.items for s in g.slates] for g in groups], dtype=np.int64)
+    old_logps = np.array([[s.logps for s in g.slates] for g in groups])
+    entropies = np.concatenate([g.entropies for g in groups])
     advantages = _batch_advantages(groups, config)
 
-    # Position scan under the current parameters: per-slate new log-probs and
-    # the summed softmax probabilities that make up the w vectors. When the
-    # parameters still equal the snapshot (every first update after a
-    # snapshot) and the groups cached their sampling mass, the scan's output
-    # is bitwise what collection already computed, so it is reused.
-    unchanged = (
-        all(g.prob_mass is not None for g in groups)
-        and np.array_equal(params.item_bias, frozen.item_bias)
-        and np.array_equal(params.item_embeddings, frozen.item_embeddings)
-        and np.array_equal(params.user_embeddings, frozen.user_embeddings)
-    )
-    if unchanged:
-        new_logps = old_logps
-        psum = np.concatenate([g.prob_mass for g in groups], axis=0)
+    # Parameters that still equal the snapshot score users exactly as
+    # collection did, so the rows it kept are reused instead of rescored.
+    if all(g.scores is not None for g in groups) and all(
+        np.array_equal(getattr(params, name), getattr(frozen, name))
+        for name in ("item_bias", "item_embeddings", "user_embeddings")
+    ):
+        scores = np.stack([g.scores for g in groups])
     else:
-        scores_users = np.stack([user_scores(params, int(u)) for u in users])
-        scores_rows = np.repeat(scores_users, G, axis=0)
-        neg_mask = np.zeros((S, n))
-        buf = np.empty((S, n))
-        psum = np.zeros((S, n))
-        new_logps = np.empty((S, L))
-        rows = np.arange(S)
-        for t in range(L):
-            logz, probs = _softmax_rows(scores_rows, neg_mask, buf)
-            psum += probs
-            chosen = items[:, t]
-            new_logps[:, t] = scores_rows[rows, chosen] - logz
-            neg_mask[rows, chosen] = -np.inf
-
+        scores = np.stack([user_scores(params, int(u)) for u in users])
+    scan = SlateScan(scores, items)
+    log_r = (scan.logps - old_logps).mean(axis=2).ravel()
     # Overflow here produces inf ratios, which the explicit check below turns
     # into a diagnosable error; the warning itself is noise.
     with np.errstate(over="ignore"):
-        ratios = np.exp((new_logps - old_logps).mean(axis=1))
+        ratios = np.exp(log_r)
     if not np.all(np.isfinite(ratios)):
         bad = int(np.flatnonzero(~np.isfinite(ratios))[0])
         raise RuntimeError(
             f"non-finite sequence ratio for slate {bad % G} of user {int(users[bad // G])}"
         )
 
-    entropies = np.concatenate([g.entropies for g in groups])
-    coefs = np.empty(S)
-    for s in range(S):
-        r = float(ratios[s])
-        a = float(advantages[s])
-        if config.optimizer == "sage":
-            coefs[s] = effective_coefficient(r, a, float(entropies[s]), tracker, config.bounds)
-        elif config.optimizer == "gbpo":
-            coefs[s] = gbpo_coefficient(r)
-        else:
-            coefs[s] = grpo_clip_coefficient(r, a, config.grpo_clip_eps)
+    if config.optimizer == "sage":
+        coefs = effective_coefficient(log_r, advantages, entropies, tracker, config.bounds)
+    elif config.optimizer == "gbpo":
+        coefs = gbpo_coefficient(log_r)
+    else:
+        coefs = grpo_clip_coefficient(log_r, advantages, config.grpo_clip_eps)
+    if not np.all(np.isfinite(coefs)):
+        raise RuntimeError("non-finite bound coefficient")
 
-    alpha = coefs * advantages / (L * S)
-    w_all = -psum
-    # Items are distinct within a slate, so the (row, item) pairs are unique
-    # and plain fancy-index accumulation is exact.
-    w_all[np.repeat(np.arange(S), L), items.reshape(-1)] += 1.0
-    w_groups = np.einsum("bg,bgn->bn", alpha.reshape(B, G), w_all.reshape(B, G, n))
-
+    w = scan.weights((coefs * advantages / (L * S)).reshape(B, G))
     grad = PolicyGradient.zeros_like(params)
-    grad.item_bias[:] = w_groups.sum(axis=0)
-    grad.item_embeddings[:] = w_groups.T @ params.user_embeddings[users]
-    np.add.at(grad.user_embeddings, users, w_groups @ params.item_embeddings)
+    grad.item_bias[:] = w.sum(axis=0)
+    grad.item_embeddings[:] = w.T @ params.user_embeddings[users]
+    np.add.at(grad.user_embeddings, users, w @ params.item_embeddings)
     if not grad.all_finite():
         raise RuntimeError("non-finite gradient")
 
@@ -560,12 +453,7 @@ def rank_items(params: PolicyParams, k: int) -> list[tuple[int, ...]]:
     if not 1 <= k <= params.n_items:
         raise ValueError("k must lie in [1, n_items]")
     scores = params.user_embeddings @ params.item_embeddings.T + params.item_bias
-    ids = np.arange(params.n_items)
-    out = []
-    for u in range(params.n_users):
-        order = np.lexsort((ids, -scores[u]))
-        out.append(tuple(int(i) for i in order[:k]))
-    return out
+    return [top_k_ids(row, k) for row in scores]
 
 
 def evaluate_policy(

@@ -235,6 +235,29 @@ def test_run_numeric_abort_exits_2_with_manifest(tmp_path, capsys):
     assert "numeric abort" in capsys.readouterr().err
 
 
+def test_run_grpo_survives_underflowed_ratios(tmp_path):
+    """At the acceptance gate's dynamics knobs, grpo drives sequence ratios
+    to exactly 0.0 from the second step on; they are valid vanishing ratios
+    whose coefficient is the 0.8 floor on negative advantages."""
+    out = tmp_path / "out"
+    body = (
+        f"out_dir: {out}\n"
+        "seeds: [0]\n"
+        "train:\n"
+        "  optimizer: grpo\n"
+        "  group_size: 8\n"
+        "  users_per_step: 4\n"
+        "  learning_rate: 30.0\n"
+        "  total_steps: 5\n"
+        "  slate_length: 6\n"
+        "  updates_per_snapshot: 4\n"
+        "  embedding_dim: 16\n"
+    )
+    assert main(["run", str(write_config(tmp_path, body)), "--quiet"]) == 0
+    for artifact in ("report.jsonl", "metrics.json", "checkpoint.json"):
+        assert (out / "seed_0" / artifact).exists()
+
+
 def test_boundary_curve_export(tmp_path):
     out = tmp_path / "out"
     code = main(["boundary", str(tiny_config(tmp_path)), "--quiet"])

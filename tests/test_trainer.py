@@ -23,6 +23,7 @@ from sagerec.policy import (
     log_prob_grad,
     slate_log_prob,
     snapshot,
+    user_scores,
 )
 from sagerec.signals import (
     batch_normalize,
@@ -179,7 +180,7 @@ def test_collect_group_contract(world):
     assert group.rewards.shape == (4, 2)
     assert np.all(np.isfinite(group.rewards))
     assert np.all(group.rewards >= 0)
-    assert group.prob_mass.shape == (4, world.catalog.n_items)
+    assert np.array_equal(group.scores, user_scores(frozen, 3))
     for slate in group.slates:
         assert slate.user_id == 3
         assert len(set(slate.items)) == 3
@@ -240,7 +241,7 @@ def test_fast_path_equals_rescoring_scan(world):
     groups = collect_batch_groups(frozen, world, [0, 3], config)
     tracker = EntropyTracker(decay=0.99)
     fast = compute_gradient(groups, params, frozen, config, tracker)
-    stripped = [replace(g, prob_mass=None) for g in groups]
+    stripped = [replace(g, scores=None) for g in groups]
     scanned = compute_gradient(stripped, params, frozen, config, tracker)
     assert np.array_equal(fast.gradient.item_bias, scanned.gradient.item_bias)
     assert np.array_equal(
@@ -301,9 +302,28 @@ def test_compute_gradient_rejects_corrupt_logps(world):
     groups[0].slates[1] = Slate(
         user_id=bad.user_id, items=bad.items, logps=np.full(3, -1e3)
     )
-    stripped = [replace(g, prob_mass=None) for g in groups]
+    stripped = [replace(g, scores=None) for g in groups]
     with pytest.raises(RuntimeError, match="non-finite sequence ratio"):
         compute_gradient(stripped, params, frozen, config, EntropyTracker(decay=0.99))
+
+
+def test_underflowed_ratios_give_finite_gradients(world):
+    """Old log-probs 800 nats above the new ones underflow every ratio to 0.0."""
+    config = small_config()
+    params = make_params(world)
+    frozen = snapshot(params)
+    groups = collect_batch_groups(frozen, world, [0, 1, 2], config)
+    for g in groups:
+        g.slates = [replace(s, logps=s.logps + 800.0) for s in g.slates]
+    for optimizer in ("sage", "gbpo", "grpo"):
+        cfg = replace(config, optimizer=optimizer)
+        result = compute_gradient(groups, params, frozen, cfg, EntropyTracker(decay=0.99))
+        assert result.ratio_max == 0.0
+        assert result.gradient.all_finite()
+        if optimizer == "grpo":
+            assert result.coef_neg_mean == pytest.approx(0.8)
+        else:
+            assert result.coef_pos_mean == 0.0 and result.coef_neg_mean == 0.0
 
 
 def test_compute_gradient_validates_batch(world):
