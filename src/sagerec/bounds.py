@@ -204,11 +204,11 @@ def gbpo_coefficient(r: float) -> float:
 
 
 def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> float:
-    """Effective coefficient of the clipped-surrogate baseline.
+    """Effective coefficient of the clipped surrogate (PPO-clip, as in GRPO).
 
-    Clipping binds only in the direction that would enlarge the objective:
-    positive advantages are capped at 1 + clip_eps, negative ones floored at
-    1 - clip_eps; inside the band the raw ratio passes through.
+    min(r * A, clip(r, 1 - clip_eps, 1 + clip_eps) * A) has zero gradient where
+    clipping binds: r > 1 + clip_eps if A >= 0, r < 1 - clip_eps if A < 0.
+    Elsewhere the raw ratio passes through.
     """
     return float(_grpo(_check_ratio(r), advantage, clip_eps))
 
@@ -234,7 +234,7 @@ def gbpo_coefficients(log_r):
 
 
 def grpo_clip_coefficients(log_r, advantages, clip_eps: float = 0.2):
-    """Array form of :func:`grpo_clip_coefficient`; an underflowed ratio gets the floor."""
+    """Array form of :func:`grpo_clip_coefficient`."""
     return _grpo(_ratios(log_r), advantages, clip_eps)
 
 
@@ -257,9 +257,8 @@ def _sage(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig
 def _grpo(r, advantages, clip_eps: float):
     if not 0 < clip_eps < 1:
         raise ValueError(f"clip_eps must lie in (0, 1), got {clip_eps}")
-    return np.where(
-        np.asarray(advantages) >= 0, np.minimum(r, 1.0 + clip_eps), np.maximum(r, 1.0 - clip_eps)
-    )
+    clipped = np.where(np.asarray(advantages) >= 0, r > 1.0 + clip_eps, r < 1.0 - clip_eps)
+    return np.where(clipped, 0.0, r)
 
 
 class BoundaryPoint(NamedTuple):

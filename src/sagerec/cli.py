@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .policy import save_checkpoint
 from .simenv import World, build_world, item_vectors, load_catalog
-from .trainer import evaluate_policy, train
+from .trainer import NumericAbort, evaluate_policy, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -59,22 +59,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-class NumericAbort(RuntimeError):
-    """A training abort annotated with where it happened, for the manifest."""
-
-    def __init__(self, message: str, seed: int, variant: str | None = None):
-        super().__init__(message)
-        self.seed = seed
-        self.variant = variant
-
-
 def _train_and_eval(
     config: ExperimentConfig, seed: int, world: World, out_dir: Path, variant: str | None
 ) -> dict:
     try:
         result = train(config.train_for_seed(seed), world)
-    except RuntimeError as exc:
-        raise NumericAbort(str(exc), seed=seed, variant=variant) from exc
+    except NumericAbort as abort:
+        abort.seed, abort.variant = seed, variant
+        raise
     metrics = evaluate_policy(
         result.params, world, config.metrics.k, entropy_base=config.metrics.entropy_base
     )
@@ -92,6 +84,7 @@ def _write_error_manifest(out: Path, command: str, abort: NumericAbort) -> None:
         "command": command,
         "seed": abort.seed,
         "variant": abort.variant,
+        "step": abort.step,
         "message": str(abort),
     }
     out.mkdir(parents=True, exist_ok=True)
@@ -134,7 +127,7 @@ def cmd_run(config: ExperimentConfig, quiet: bool) -> int:
             )
     except NumericAbort as abort:
         _write_error_manifest(out, "run", abort)
-        print(f"numeric abort at seed {abort.seed}: {abort}", file=sys.stderr)
+        print(f"numeric abort at seed {abort.seed} step {abort.step}: {abort}", file=sys.stderr)
         return EXIT_NUMERIC
     _write_summary(out / "summary.csv", per_seed)
     _say(quiet, f"wrote {len(per_seed)} seed directories and summary.csv to {out}")
@@ -172,7 +165,7 @@ def cmd_ablate(config: ExperimentConfig, quiet: bool) -> int:
     except NumericAbort as abort:
         _write_error_manifest(out, "ablate", abort)
         print(
-            f"numeric abort in variant {abort.variant} seed {abort.seed}: {abort}",
+            f"numeric abort in {abort.variant} seed {abort.seed} step {abort.step}: {abort}",
             file=sys.stderr,
         )
         return EXIT_NUMERIC

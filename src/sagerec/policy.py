@@ -327,14 +327,19 @@ def mean_first_position_mass(params: PolicyParams, items: np.ndarray) -> float:
     """Mean over users of the first-position probability mass on ``items``.
 
     The probe the training reports use to track how much of the policy's head
-    distribution sits on a given item pool (e.g. the cold set).
+    distribution sits on a given item pool (e.g. the cold set). Users go in
+    blocks of about 2**20 scores, so the buffer stays in bounds at any n.
     """
     items = np.asarray(items, dtype=np.intp)
-    z = params.user_embeddings @ params.item_embeddings.T
-    z += params.item_bias
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    return float((z[:, items].sum(axis=1) / z.sum(axis=1)).mean())
+    rows = max(1, 2**20 // params.n_items)
+    mass = np.empty(params.n_users)
+    for start in range(0, params.n_users, rows):
+        z = params.user_embeddings[start : start + rows] @ params.item_embeddings.T
+        z += params.item_bias
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        mass[start : start + rows] = z[:, items].sum(axis=1) / z.sum(axis=1)
+    return float(mass.mean())
 
 
 def save_checkpoint(params: PolicyParams, path: str | Path) -> None:

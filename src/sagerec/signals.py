@@ -25,16 +25,13 @@ class TrajectoryGroup:
 
     ``rewards`` is (G, M): one row per slate, one column per objective.
     ``entropies`` caches each slate's category entropy at collection time,
-    for the diversity-aware penalty. ``scores`` optionally keeps the user's
-    (n_items,) score row under the sampling policy, so a gradient pass
-    against unchanged parameters need not rescore the user.
+    for the diversity-aware penalty.
     """
 
     user_id: int
     slates: list[Slate]
     rewards: np.ndarray
     entropies: np.ndarray | None = None
-    scores: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -77,7 +74,7 @@ def group_normalize(
     """Per-objective z-scores within one sampling group.
 
     Each column is centered by the group mean and divided by the population
-    standard deviation plus ``eps``. Constant columns come out all zero.
+    standard deviation plus ``eps``. Columns spread by at most ``eps`` are 0.
     A (..., G, M) stack of groups is normalized group by group.
     """
     rewards = _check_groups(group_rewards)
@@ -87,7 +84,7 @@ def group_normalize(
     centered = rewards - mu
     with np.errstate(invalid="ignore", divide="ignore"):
         z = centered / denom
-    return np.where(sd == 0.0, 0.0, z)
+    return np.where(sd <= eps, 0.0, z)
 
 
 def decoupled_advantage(z: np.ndarray, weights) -> np.ndarray:
@@ -131,7 +128,7 @@ def naive_advantage(
     Summing raw objectives first lets one high-variance objective dominate and
     maps behaviorally distinct slates with equal weighted sums to identical
     advantages. Kept as the comparison point for the decoupled estimator.
-    A (..., G, M) stack of groups is normalized group by group.
+    A (..., G, M) stack is normalized group by group; a spread <= ``eps`` gives 0.
     """
     rewards = _check_groups(group_rewards)
     w = np.asarray(weights, dtype=np.float64)
@@ -141,7 +138,7 @@ def naive_advantage(
     sd = sums.std(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = (sums - sums.mean(axis=-1, keepdims=True)) / (sd + eps)
-    return np.where(sd == 0.0, 0.0, z)
+    return np.where(sd <= eps, 0.0, z)
 
 
 def _check_groups(group_rewards) -> np.ndarray:

@@ -161,6 +161,46 @@ class GradientResult:
     n_slates: int
 
 
+class NumericAbort(RuntimeError):
+    """A non-finite value in training; ``train`` sets the step, the CLI the seed and variant."""
+
+    step: int | None = None
+    seed: int | None = None
+    variant: str | None = None
+
+
+@dataclass
+class StepBatch:
+    """One step's slates as arrays: B users, G slates each, L items per slate.
+
+    ``users`` is (B,); ``items`` and the snapshot's per-position ``logps`` are
+    (B, G, L); ``rewards`` is (B, G, M); ``entropies`` is (B*G,). ``scan``, the
+    collection's :class:`SlateScan`, is valid while the parameters equal the snapshot.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    logps: np.ndarray
+    rewards: np.ndarray
+    entropies: np.ndarray
+    scan: SlateScan | None = None
+
+    @classmethod
+    def from_groups(cls, groups: list[TrajectoryGroup]) -> "StepBatch":
+        """Stack per-user groups into a batch; it carries no scan."""
+        if not groups:
+            raise ValueError("empty batch")
+        if any(g.entropies is None for g in groups):
+            raise ValueError("every group needs its slate entropies")
+        return cls(
+            users=np.array([g.user_id for g in groups]),
+            items=np.array([[s.items for s in g.slates] for g in groups], dtype=np.int64),
+            logps=np.array([[s.logps for s in g.slates] for g in groups]),
+            rewards=np.stack([g.rewards for g in groups]),
+            entropies=np.concatenate([g.entropies for g in groups]),
+        )
+
+
 def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) -> np.ndarray:
     """Category entropy of every slate row, in nats."""
     S, L = items.shape
@@ -175,16 +215,16 @@ def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) 
 def _score_feedback(
     users: np.ndarray, items: np.ndarray, world: World, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized two-objective feedback for a (S, L) block of slates.
+    """Vectorized two-objective feedback for (B, G, L) slates, as (B, G, 2).
 
-    ``users`` gives the user id of each slate row. Per-slate math matches the
-    environment's feedback op; draws are consumed as two (S, L) blocks.
+    ``users`` gives each row's user, shared by its G slates. Per-slate math
+    matches the environment's feedback op; draws are two (B, G, L) blocks.
     """
     cfg = world.config.feedback
     catalog = world.catalog
     pref = np.stack([world.users[int(u)].preference for u in users])
     engagement = np.array([world.users[int(u)].engagement_scale for u in users])
-    affinity = np.take_along_axis(pref, catalog.categories[items], axis=1)
+    affinity = pref[np.arange(len(users))[:, None, None], catalog.categories[items]]
     quality = catalog.quality[items]
     logits = cfg.affinity_weight * affinity + cfg.quality_weight * quality + cfg.click_bias
     # Saturation at extreme logits is intended; silence the benign exp overflow.
@@ -193,35 +233,13 @@ def _score_feedback(
     clicks = rng.random(items.shape) < p_click
     sigma = cfg.watch_noise_sigma
     noise = rng.lognormal(-0.5 * sigma * sigma, sigma, items.shape)
-    watch = clicks * engagement[:, None] * quality * noise
-    return np.stack([clicks.sum(axis=1), watch.sum(axis=1)], axis=1).astype(np.float64)
+    watch = clicks * engagement[:, None, None] * quality * noise
+    return np.stack([clicks.sum(axis=2), watch.sum(axis=2)], axis=2).astype(np.float64)
 
 
-def _build_groups(
-    users: np.ndarray,
-    scores: np.ndarray,
-    items: np.ndarray,
-    logps: np.ndarray,
-    rewards: np.ndarray,
-    entropies: np.ndarray,
-) -> list[TrajectoryGroup]:
-    """Split (B, G, ...) collection arrays into one group per user."""
-    G = items.shape[1]
-    rewards = rewards.reshape(len(users), G, -1)
-    entropies = entropies.reshape(len(users), G)
-    return [
-        TrajectoryGroup(
-            user_id=int(user),
-            slates=[
-                Slate(user_id=int(user), items=tuple(int(i) for i in items[b, g]), logps=logps[b, g])
-                for g in range(G)
-            ],
-            rewards=rewards[b],
-            entropies=entropies[b],
-            scores=scores[b],
-        )
-        for b, user in enumerate(users)
-    ]
+def _build_groups(users, items, scan: SlateScan, rewards, entropies) -> StepBatch:
+    """Bundle the collection arrays into the step's batch."""
+    return StepBatch(users, items, scan.logps, rewards, entropies, scan)
 
 
 def collect_group(
@@ -235,7 +253,9 @@ def collect_group(
     """Sample G slates for one user from the frozen policy and score them."""
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    return _collect_batch(frozen, world, np.array([user]), group_size, slate_length, rng)[0]
+    batch = _collect_batch(frozen, world, np.array([user]), group_size, slate_length, rng)
+    slates = [Slate(user, tuple(r.tolist()), lp) for r, lp in zip(batch.items[0], batch.logps[0])]
+    return TrajectoryGroup(user, slates, batch.rewards[0], batch.entropies)
 
 
 def _collect_batch(
@@ -245,24 +265,22 @@ def _collect_batch(
     group_size: int,
     slate_length: int,
     rng: np.random.Generator,
-) -> list[TrajectoryGroup]:
+) -> StepBatch:
     """Collect every user's group in one stacked pass (the training hot path).
 
-    Sampling consumes one (B, G, n) block of noise, feedback two (S, L)
+    Sampling consumes one (B, G, n) block of noise, feedback two (B, G, L)
     blocks, so the random stream does not depend on what was drawn.
     """
     scores = np.stack([user_scores(frozen, int(u)) for u in users])
     items = _sample_slates(scores, group_size, slate_length, rng)
-    logps = SlateScan(scores, items).logps
+    rewards = _score_feedback(users, items, world, rng)
     flat = items.reshape(-1, slate_length)
-    rewards = _score_feedback(np.repeat(users, group_size), flat, world, rng)
     entropies = _slate_entropies(flat, world.catalog.categories, world.catalog.n_subcats)
-    return _build_groups(users, scores, items, logps, rewards, entropies)
+    return _build_groups(users, items, SlateScan(scores, items), rewards, entropies)
 
 
-def _batch_advantages(groups: list[TrajectoryGroup], config: TrainConfig) -> np.ndarray:
-    """Per-slate advantages: per-group normalization, then one batch z-score."""
-    rewards = np.stack([g.rewards for g in groups])
+def _batch_advantages(rewards: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """Per-slate advantages of (B, G, M) rewards: group z-scores, then one batch z-score."""
     if config.advantage_mode == "decoupled":
         per_group = decoupled_advantage(
             group_normalize(rewards, config.norm_eps), config.reward_weights
@@ -273,77 +291,62 @@ def _batch_advantages(groups: list[TrajectoryGroup], config: TrainConfig) -> np.
 
 
 def compute_gradient(
-    groups: list[TrajectoryGroup],
+    batch: StepBatch | list[TrajectoryGroup],
     params: PolicyParams,
     frozen: FrozenPolicy,
     config: TrainConfig,
     tracker: EntropyTracker,
+    advantages: np.ndarray | None = None,
 ) -> GradientResult:
     """Batch-mean ascent gradient of the bounded, advantage-weighted objective.
 
-    For every slate: the sequence ratio against the frozen log-probs, the
-    advantage from the configured pipeline, the optimizer's coefficient, and
-    the analytic per-item-averaged log-prob gradient, accumulated with one
-    weight vector per user group.
+    For every slate: the sequence ratio against the snapshot's log-probs (the
+    batch carries them, so ``frozen`` is not read), the advantage, the
+    optimizer's coefficient, and the analytic per-item-averaged log-prob
+    gradient, accumulated with one weight vector per user group. A batch
+    without a scan, like any list of groups, is rescored under ``params``;
+    ``advantages`` default to the batch's own.
     """
-    if not groups:
-        raise ValueError("empty batch")
     config = config.resolve()
-    G = groups[0].size
-    L = config.slate_length
-    for group in groups:
-        if group.size != G:
-            raise ValueError("groups in a batch must share the group size")
-        if group.entropies is None:
-            raise ValueError(f"group for user {group.user_id} lacks slate entropies")
-        if any(len(s) != L for s in group.slates):
-            raise ValueError("slate length disagrees with config")
-
-    B = len(groups)
+    if not isinstance(batch, StepBatch):
+        batch = StepBatch.from_groups(batch)
+    if advantages is None:
+        advantages = _batch_advantages(batch.rewards, config)
+    B, G, L = batch.items.shape
+    if L != config.slate_length:
+        raise ValueError("slate length disagrees with config")
     S = B * G
-    users = np.array([g.user_id for g in groups])
-    items = np.array([[s.items for s in g.slates] for g in groups], dtype=np.int64)
-    old_logps = np.array([[s.logps for s in g.slates] for g in groups])
-    entropies = np.concatenate([g.entropies for g in groups])
-    advantages = _batch_advantages(groups, config)
 
-    # Parameters that still equal the snapshot score users exactly as
-    # collection did, so the rows it kept are reused instead of rescored.
-    if all(g.scores is not None for g in groups) and all(
-        np.array_equal(getattr(params, name), getattr(frozen, name))
-        for name in ("item_bias", "item_embeddings", "user_embeddings")
-    ):
-        scores = np.stack([g.scores for g in groups])
-    else:
-        scores = np.stack([user_scores(params, int(u)) for u in users])
-    scan = SlateScan(scores, items)
-    log_r = (scan.logps - old_logps).mean(axis=2).ravel()
+    scan = batch.scan
+    if scan is None:
+        scan = SlateScan(np.stack([user_scores(params, int(u)) for u in batch.users]), batch.items)
+    log_r = (scan.logps - batch.logps).mean(axis=2).ravel()
     # Overflow here produces inf ratios, which the explicit check below turns
     # into a diagnosable error; the warning itself is noise.
     with np.errstate(over="ignore"):
         ratios = np.exp(log_r)
     if not np.all(np.isfinite(ratios)):
         bad = int(np.flatnonzero(~np.isfinite(ratios))[0])
-        raise RuntimeError(
-            f"non-finite sequence ratio for slate {bad % G} of user {int(users[bad // G])}"
+        raise NumericAbort(
+            f"non-finite sequence ratio for slate {bad % G} of user {int(batch.users[bad // G])}"
         )
 
     if config.optimizer == "sage":
-        coefs = effective_coefficient(log_r, advantages, entropies, tracker, config.bounds)
+        coefs = effective_coefficient(log_r, advantages, batch.entropies, tracker, config.bounds)
     elif config.optimizer == "gbpo":
         coefs = gbpo_coefficient(log_r)
     else:
         coefs = grpo_clip_coefficient(log_r, advantages, config.grpo_clip_eps)
     if not np.all(np.isfinite(coefs)):
-        raise RuntimeError("non-finite bound coefficient")
+        raise NumericAbort("non-finite bound coefficient")
 
     w = scan.weights((coefs * advantages / (L * S)).reshape(B, G))
     grad = PolicyGradient.zeros_like(params)
     grad.item_bias[:] = w.sum(axis=0)
-    grad.item_embeddings[:] = w.T @ params.user_embeddings[users]
-    np.add.at(grad.user_embeddings, users, w @ params.item_embeddings)
+    grad.item_embeddings[:] = w.T @ params.user_embeddings[batch.users]
+    np.add.at(grad.user_embeddings, batch.users, w @ params.item_embeddings)
     if not grad.all_finite():
-        raise RuntimeError("non-finite gradient")
+        raise NumericAbort("non-finite gradient")
 
     pos = advantages >= 0
     return GradientResult(
@@ -388,7 +391,7 @@ def apply_update(
             getattr(params, name)[...] += lr * m_hat / (np.sqrt(v_hat) + eps)
     for name in names:
         if not np.all(np.isfinite(getattr(params, name))):
-            raise RuntimeError(f"non-finite parameters in {name} after update")
+            raise NumericAbort(f"non-finite parameters in {name} after update")
     return params
 
 
@@ -485,10 +488,10 @@ class TrainResult:
 def train(config: TrainConfig, world: World) -> TrainResult:
     """Run the full optimization loop and collect the per-step report.
 
-    Step order: snapshot, collect the user batch's groups, run the configured
-    number of gradient updates against the snapshot, fold the batch-mean slate
-    entropy into the tracker, then record diagnostics (and checkpoint metrics
-    when due).
+    Step order: snapshot, collect the user batch and its advantages, run the
+    configured number of gradient updates against the snapshot, fold the
+    batch-mean slate entropy into the tracker, then record diagnostics (and
+    checkpoint metrics when due). A :class:`NumericAbort` carries its step.
     """
     config = config.resolve()
     if config.users_per_step > world.config.n_users:
@@ -513,17 +516,20 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     for step in range(config.total_steps):
         frozen = snapshot(params)
         users = rng.permutation(world.config.n_users)[: config.users_per_step]
-        groups = _collect_batch(
+        batch = _collect_batch(
             frozen, world, users, config.group_size, config.slate_length, rng
         )
-        result = None
+        advantages = _batch_advantages(batch.rewards, config)
         for _ in range(config.updates_per_snapshot):
             try:
-                result = compute_gradient(groups, params, frozen, config, tracker)
-            except RuntimeError as exc:
-                raise RuntimeError(f"step {step}: {exc}") from exc
-            params = apply_update(params, result.gradient, opt_state, config)
-        batch_entropy = float(np.mean([g.entropies.mean() for g in groups]))
+                result = compute_gradient(batch, params, frozen, config, tracker, advantages)
+                # Only the first pass sees the snapshot's parameters.
+                batch.scan = None
+                params = apply_update(params, result.gradient, opt_state, config)
+            except NumericAbort as exc:
+                exc.step = step
+                raise
+        batch_entropy = float(batch.entropies.reshape(len(users), -1).mean(axis=1).mean())
         tracker = update_entropy_ema(tracker, batch_entropy)
 
         eval_metrics = None

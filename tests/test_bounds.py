@@ -215,8 +215,12 @@ def test_gbpo_coefficient_values():
 
 def test_grpo_clip_coefficient_values():
     assert grpo_clip_coefficient(1.0, 1.0) == 1.0
-    assert grpo_clip_coefficient(1.5, 1.0, clip_eps=0.2) == pytest.approx(1.2, abs=1e-15)
-    assert grpo_clip_coefficient(0.5, -1.0, clip_eps=0.2) == pytest.approx(0.8, abs=1e-15)
+    # Where clipping binds the clipped surrogate is flat: no gradient.
+    assert grpo_clip_coefficient(1.5, 1.0, clip_eps=0.2) == 0.0
+    assert grpo_clip_coefficient(0.5, -1.0, clip_eps=0.2) == 0.0
+    # Clipping binds only in the direction that would enlarge the objective.
+    assert grpo_clip_coefficient(1.5, -1.0, clip_eps=0.2) == 1.5
+    assert grpo_clip_coefficient(0.5, 1.0, clip_eps=0.2) == 0.5
     # Inside the band the raw ratio passes through for either sign.
     assert grpo_clip_coefficient(1.1, 1.0) == pytest.approx(1.1, abs=1e-15)
     assert grpo_clip_coefficient(1.1, -1.0) == pytest.approx(1.1, abs=1e-15)

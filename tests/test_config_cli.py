@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from sagerec import trainer
 from sagerec.cli import main
 from sagerec.config import ConfigError, load_experiment_config
 from sagerec.simenv import generate_catalog, save_catalog
@@ -235,10 +237,30 @@ def test_run_numeric_abort_exits_2_with_manifest(tmp_path, capsys):
     assert "numeric abort" in capsys.readouterr().err
 
 
+def test_numeric_abort_names_its_step(tmp_path, monkeypatch, capsys):
+    """A gradient pass that turns non-finite at a known step names that step in error.json."""
+    bad_step = 2
+    calls = []
+    real = trainer.effective_coefficient
+
+    def poisoned(log_r, *args):
+        calls.append(1)
+        coefs = real(log_r, *args)
+        return coefs * np.inf if len(calls) > bad_step else coefs
+
+    monkeypatch.setattr(trainer, "effective_coefficient", poisoned)
+    config = tiny_config(tmp_path, out_name="abort_out")
+    assert main(["run", str(config), "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "abort_out" / "error.json").read_text())
+    assert (manifest["seed"], manifest["variant"], manifest["step"]) == (0, None, bad_step)
+    assert manifest["message"] == "non-finite bound coefficient"
+    assert "numeric abort" in capsys.readouterr().err
+
+
 def test_run_grpo_survives_underflowed_ratios(tmp_path):
-    """At the acceptance gate's dynamics knobs, grpo drives sequence ratios
-    to exactly 0.0 from the second step on; they are valid vanishing ratios
-    whose coefficient is the 0.8 floor on negative advantages."""
+    """At the acceptance gate's dynamics knobs, grpo can drive sequence
+    ratios to exactly 0.0; they are valid vanishing ratios whose
+    coefficient is 0."""
     out = tmp_path / "out"
     body = (
         f"out_dir: {out}\n"

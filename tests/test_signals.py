@@ -170,3 +170,25 @@ def test_naive_advantage_validation():
         naive_advantage(np.array([[1.0, 2.0]]), (0.5, 0.5))
     with pytest.raises(ValueError):
         naive_advantage(np.array([[1.0], [2.0]]), (0.5, 0.5))
+
+
+# A power of two, so the two-point column (0, 2 * spread) has a population
+# std of exactly ``spread``.
+EPS = 2.0**-20
+
+
+@pytest.mark.parametrize("spread", [0.0, EPS, 2 * EPS], ids=["sd=0", "sd=eps", "sd=2eps"])
+def test_zero_spread_rule_is_shared(spread):
+    """All three normalisers zero a spread of at most eps and keep a larger one."""
+    column = np.array([[0.0], [2 * spread]])
+    assert column.std() == spread
+    group = group_normalize(column, EPS)[:, 0]
+    naive = naive_advantage(column, (1.0,), EPS)
+    batch = batch_normalize(column[:, 0], EPS)
+    if spread <= EPS:
+        assert not (group.any() or naive.any() or batch.any())
+    else:
+        # (+-2 eps) / (2 eps + eps) in the group forms, +-1 in the batch form.
+        assert group == pytest.approx([-2 / 3, 2 / 3], rel=1e-12)
+        assert naive == pytest.approx([-2 / 3, 2 / 3], rel=1e-12)
+        assert batch == pytest.approx([-1.0, 1.0], rel=1e-12)
