@@ -32,7 +32,6 @@ from .metrics import (
     recall_at_k,
 )
 from .policy import (
-    FrozenPolicy,
     PolicyGradient,
     PolicyParams,
     Slate,
@@ -72,7 +71,6 @@ __all__ = [
     "EntropyTracker",
     "ExperimentConfig",
     "ExperimentReport",
-    "FrozenPolicy",
     "MetricConfig",
     "PolicyGradient",
     "PolicyParams",

@@ -11,7 +11,6 @@ form, which is what the optimizers build on.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,10 +61,6 @@ class PolicyParams:
                 raise ValueError(f"non-finite entries in {name}")
 
 
-class FrozenPolicy(PolicyParams):
-    """An immutable copy of :class:`PolicyParams` taken at sampling time."""
-
-
 @dataclass
 class Slate:
     """An ordered list of L distinct items with their sampling log-probs.
@@ -96,13 +91,6 @@ class PolicyGradient:
             user_embeddings=np.zeros_like(params.user_embeddings),
             item_embeddings=np.zeros_like(params.item_embeddings),
             item_bias=np.zeros_like(params.item_bias),
-        )
-
-    def scaled(self, factor: float) -> "PolicyGradient":
-        return PolicyGradient(
-            user_embeddings=self.user_embeddings * factor,
-            item_embeddings=self.item_embeddings * factor,
-            item_bias=self.item_bias * factor,
         )
 
     def all_finite(self) -> bool:
@@ -310,9 +298,13 @@ def log_prob_grad(params: PolicyParams, user: int, items) -> PolicyGradient:
     return grad
 
 
-def snapshot(params: PolicyParams) -> FrozenPolicy:
-    """Immutable deep copy of the parameters; later updates leave it unchanged."""
-    frozen = FrozenPolicy(
+def snapshot(params: PolicyParams) -> PolicyParams:
+    """Read-only deep copy of the parameters; later updates leave it unchanged.
+
+    Nothing can write to it, so another thread may read it while training
+    updates ``params``.
+    """
+    frozen = PolicyParams(
         user_embeddings=params.user_embeddings.copy(),
         item_embeddings=params.item_embeddings.copy(),
         item_bias=params.item_bias.copy(),
@@ -323,18 +315,35 @@ def snapshot(params: PolicyParams) -> FrozenPolicy:
     return frozen
 
 
-def mean_first_position_mass(params: PolicyParams, items: np.ndarray) -> float:
+def probe_work(n_users: int, n_items: int) -> np.ndarray:
+    """Score block for :func:`mean_first_position_mass`: about 2**19 scores, >= 2 rows."""
+    return np.empty((min(n_users, max(2, 2**19 // n_items)), n_items))
+
+
+def mean_first_position_mass(
+    params: PolicyParams, items: np.ndarray, work: np.ndarray | None = None
+) -> float:
     """Mean over users of the first-position probability mass on ``items``.
 
     The probe the training reports use to track how much of the policy's head
-    distribution sits on a given item pool (e.g. the cold set). Users go in
-    blocks of about 2**20 scores, so the buffer stays in bounds at any n.
+    distribution sits on a given item pool (e.g. the cold set). Users are
+    scored in blocks of ``work``'s rows (default :func:`probe_work`), written
+    into ``work`` itself, so a caller can keep one buffer for a whole run. The
+    last block is moved back to end at the last user, so every block has the
+    same rows: a one-row block would take BLAS's matrix-vector path and round
+    differently. At 1000 and 50 000 items any block of two or more rows gives
+    the bits of the full score matrix; at some other shapes BLAS picks its
+    kernel by the block's rows, and the last bit can move.
     """
     items = np.asarray(items, dtype=np.intp)
-    rows = max(1, 2**20 // params.n_items)
+    if work is None:
+        work = probe_work(params.n_users, params.n_items)
+    rows = min(work.shape[0], params.n_users)
+    z = work[:rows]
     mass = np.empty(params.n_users)
     for start in range(0, params.n_users, rows):
-        z = params.user_embeddings[start : start + rows] @ params.item_embeddings.T
+        start = min(start, params.n_users - rows)
+        np.matmul(params.user_embeddings[start : start + rows], params.item_embeddings.T, out=z)
         z += params.item_bias
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
@@ -374,12 +383,3 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     params.validate()
     return params
 
-
-def clone(params: PolicyParams) -> PolicyParams:
-    """Writable deep copy (snapshot returns the read-only variant)."""
-    return dataclasses.replace(
-        params,
-        user_embeddings=params.user_embeddings.copy(),
-        item_embeddings=params.item_embeddings.copy(),
-        item_bias=params.item_bias.copy(),
-    )

@@ -62,12 +62,6 @@ def sequence_ratio(new_logps, old_logps) -> float:
     return float(np.exp(np.mean(new - old)))
 
 
-def token_ratios(new_logps, old_logps) -> np.ndarray:
-    """Element-wise probability ratios, the per-position baseline signal."""
-    new, old = _check_logps(new_logps, old_logps)
-    return np.exp(new - old)
-
-
 def group_normalize(
     group_rewards: np.ndarray, eps: float = DEFAULT_NORM_EPS
 ) -> np.ndarray:

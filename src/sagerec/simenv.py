@@ -15,7 +15,6 @@ arguments produce identical worlds.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,6 @@ import numpy as np
 from .metrics import top_k_ids
 
 CATALOG_SCHEMA_VERSION = 1
-LOG_CSV_HEADER = ("user_id", "item_id", "timestamp_ordinal")
 
 
 @dataclass(frozen=True)
@@ -426,38 +424,6 @@ def build_world(config: WorldConfig, seed: int) -> World:
     catalog = catalog.with_cold_items(cold)
     relevant = relevant_items(catalog, users, config.feedback, config.n_relevant)
     return World(catalog=catalog, users=users, log=log, relevant=relevant, config=config)
-
-
-def save_log(log: InteractionLog, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_CSV_HEADER)
-        for ordinal, (u, i) in enumerate(zip(log.user_ids, log.item_ids)):
-            writer.writerow([int(u), int(i), ordinal])
-
-
-def load_log(path: str | Path) -> InteractionLog:
-    users, items = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != LOG_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(LOG_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                users.append(int(row[0]))
-                items.append(int(row[1]))
-                int(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer field") from exc
-    if not users:
-        raise ValueError(f"{path}: log has no rows")
-    return InteractionLog(
-        user_ids=np.asarray(users, dtype=np.int64),
-        item_ids=np.asarray(items, dtype=np.int64),
-    )
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:

@@ -21,7 +21,9 @@ bit-reproducible.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +37,13 @@ from .bounds import grpo_clip_coefficients as grpo_clip_coefficient
 from .bounds import sage_coefficients as effective_coefficient
 from .metrics import RankedRecommendation, evaluate_rankings, top_k_ids
 from .policy import (
-    FrozenPolicy,
     PolicyGradient,
     PolicyParams,
     Slate,
     SlateScan,
     init_policy,
     mean_first_position_mass,
+    probe_work,
     snapshot,
     user_scores,
 )
@@ -243,7 +245,7 @@ def _build_groups(users, items, scan: SlateScan, rewards, entropies) -> StepBatc
 
 
 def collect_group(
-    frozen: FrozenPolicy,
+    frozen: PolicyParams,
     world: World,
     user: int,
     group_size: int,
@@ -259,7 +261,7 @@ def collect_group(
 
 
 def _collect_batch(
-    frozen: FrozenPolicy,
+    frozen: PolicyParams,
     world: World,
     users: np.ndarray,
     group_size: int,
@@ -293,7 +295,7 @@ def _batch_advantages(rewards: np.ndarray, config: TrainConfig) -> np.ndarray:
 def compute_gradient(
     batch: StepBatch | list[TrajectoryGroup],
     params: PolicyParams,
-    frozen: FrozenPolicy,
+    frozen: PolicyParams,
     config: TrainConfig,
     tracker: EntropyTracker,
     advantages: np.ndarray | None = None,
@@ -492,6 +494,11 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     configured number of gradient updates against the snapshot, fold the
     batch-mean slate entropy into the tracker, then record diagnostics (and
     checkpoint metrics when due). A :class:`NumericAbort` carries its step.
+
+    A step's cold mass is probed on the next step's snapshot, which holds
+    exactly that step's parameters, by one worker thread while the next step
+    trains; the last step is probed directly. The ``with`` block joins the
+    worker whether the loop returns or raises.
     """
     config = config.resolve()
     if config.users_per_step > world.config.n_users:
@@ -512,33 +519,39 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     opt_state = OptimizerState()
     cold_ids = np.array(sorted(world.catalog.cold_items), dtype=np.intp)
     report = ExperimentReport()
+    work = probe_work(params.n_users, params.n_items)
+    pending = None  # the previous step's record, waiting for its cold mass
 
-    for step in range(config.total_steps):
-        frozen = snapshot(params)
-        users = rng.permutation(world.config.n_users)[: config.users_per_step]
-        batch = _collect_batch(
-            frozen, world, users, config.group_size, config.slate_length, rng
-        )
-        advantages = _batch_advantages(batch.rewards, config)
-        for _ in range(config.updates_per_snapshot):
-            try:
-                result = compute_gradient(batch, params, frozen, config, tracker, advantages)
-                # Only the first pass sees the snapshot's parameters.
-                batch.scan = None
-                params = apply_update(params, result.gradient, opt_state, config)
-            except NumericAbort as exc:
-                exc.step = step
-                raise
-        batch_entropy = float(batch.entropies.reshape(len(users), -1).mean(axis=1).mean())
-        tracker = update_entropy_ema(tracker, batch_entropy)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sagerec-probe") as probe:
+        for step in range(config.total_steps):
+            frozen = snapshot(params)
+            if pending is not None:
+                probed = probe.submit(mean_first_position_mass, frozen, cold_ids, work)
+            users = rng.permutation(world.config.n_users)[: config.users_per_step]
+            batch = _collect_batch(
+                frozen, world, users, config.group_size, config.slate_length, rng
+            )
+            advantages = _batch_advantages(batch.rewards, config)
+            for _ in range(config.updates_per_snapshot):
+                try:
+                    result = compute_gradient(batch, params, frozen, config, tracker, advantages)
+                    # Only the first pass sees the snapshot's parameters.
+                    batch.scan = None
+                    params = apply_update(params, result.gradient, opt_state, config)
+                except NumericAbort as exc:
+                    exc.step = step
+                    raise
+            batch_entropy = float(batch.entropies.reshape(len(users), -1).mean(axis=1).mean())
+            tracker = update_entropy_ema(tracker, batch_entropy)
 
-        eval_metrics = None
-        if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
-            eval_metrics = evaluate_policy(params, world, config.eval_k)
-        report.records.append(
-            StepRecord(
+            eval_metrics = None
+            if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
+                eval_metrics = evaluate_policy(params, world, config.eval_k)
+            if pending is not None:
+                report.records.append(pending(cold_mass=probed.result()))
+            pending = partial(
+                StepRecord,
                 step=step,
-                cold_mass=mean_first_position_mass(params, cold_ids),
                 mean_entropy=batch_entropy,
                 advantage_mean=result.advantage_mean,
                 advantage_std=result.advantage_std,
@@ -546,5 +559,6 @@ def train(config: TrainConfig, world: World) -> TrainResult:
                 coef_neg_mean=result.coef_neg_mean,
                 eval=eval_metrics,
             )
-        )
+    if pending is not None:
+        report.records.append(pending(cold_mass=mean_first_position_mass(params, cold_ids, work)))
     return TrainResult(report=report, params=params, tracker=tracker)

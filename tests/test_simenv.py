@@ -20,11 +20,9 @@ from sagerec.simenv import (
     identify_cold_items,
     item_vectors,
     load_catalog,
-    load_log,
     logged_pretraining,
     relevant_items,
     save_catalog,
-    save_log,
 )
 
 
@@ -275,35 +273,6 @@ def test_build_world_deterministic():
     assert np.array_equal(a.log.item_ids, b.log.item_ids)
     assert a.catalog.cold_items == b.catalog.cold_items
     assert a.relevant == b.relevant
-
-
-def test_log_csv_roundtrip(tmp_path):
-    log = InteractionLog(
-        user_ids=np.array([0, 1, 0], dtype=np.int64),
-        item_ids=np.array([4, 2, 7], dtype=np.int64),
-    )
-    path = tmp_path / "log.csv"
-    save_log(log, path)
-    loaded = load_log(path)
-    assert np.array_equal(loaded.user_ids, log.user_ids)
-    assert np.array_equal(loaded.item_ids, log.item_ids)
-    first = path.read_text().splitlines()[0]
-    assert first == "user_id,item_id,timestamp_ordinal"
-
-
-def test_log_csv_rejects_malformed(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("user,item\n0,1\n")
-    with pytest.raises(ValueError):
-        load_log(bad_header)
-    bad_field = tmp_path / "b.csv"
-    bad_field.write_text("user_id,item_id,timestamp_ordinal\n0,x,0\n")
-    with pytest.raises(ValueError, match="b.csv:2"):
-        load_log(bad_field)
-    empty = tmp_path / "c.csv"
-    empty.write_text("user_id,item_id,timestamp_ordinal\n")
-    with pytest.raises(ValueError):
-        load_log(empty)
 
 
 def test_catalog_json_roundtrip(tmp_path):

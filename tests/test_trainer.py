@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import functools
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sagerec import trainer
 from sagerec.bounds import (
     BoundConfig,
     EntropyTracker,
@@ -25,6 +29,7 @@ from sagerec.policy import (
     SlateScan,
     init_policy,
     log_prob_grad,
+    mean_first_position_mass,
     slate_log_prob,
     snapshot,
     user_scores,
@@ -492,6 +497,68 @@ def test_train_later_updates_rescore_the_moved_policy(world):
     """Only the first update reuses the collection's scan; later ones see ratios off 1."""
     result = train(small_config(total_steps=4, updates_per_snapshot=3, learning_rate=1.0), world)
     assert any(r.coef_pos_mean not in (None, 1.0) for r in result.report.records)
+
+
+@pytest.mark.parametrize("updates", [1, 3])
+def test_probe_rows_match_the_sequential_probe(world, updates, monkeypatch):
+    """Row k's cold mass, probed on the next step's snapshot in the worker
+    thread (or directly, for the last step), is the probe of the parameters
+    a k+1-step run ends with. The probe is delayed until the next step has
+    moved the live parameters, and a short switch interval interleaves the
+    two threads as finely as the interpreter allows."""
+    config = small_config(
+        total_steps=4, updates_per_snapshot=updates, learning_rate=1.0, checkpoint_every=2
+    )
+    cold = np.array(sorted(world.catalog.cold_items), dtype=np.intp)
+
+    def late_probe(*args):
+        time.sleep(0.01)
+        return mean_first_position_mass(*args)
+
+    monkeypatch.setattr(trainer, "mean_first_position_mass", late_probe)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        full = train(config, world).report.records
+        assert train(replace(config, total_steps=0), world).report.records == []
+        for k in range(config.total_steps):
+            short = train(replace(config, total_steps=k + 1), world)
+            assert short.report.records[k].cold_mass == mean_first_position_mass(short.params, cold)
+            assert short.report.records == full[: k + 1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _probe_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sagerec-probe")]
+
+
+def test_train_joins_the_probe_thread_on_return_and_on_abort(world, monkeypatch):
+    """An abort while the worker is still probing keeps its step, and no
+    probe thread outlives ``train``."""
+    train(small_config(total_steps=3), world)
+    assert _probe_threads() == []
+
+    bad_step = 2
+    real_probe, real_update = trainer.mean_first_position_mass, trainer.apply_update
+    calls = []
+
+    def slow_probe(*args):
+        time.sleep(0.05)
+        return real_probe(*args)
+
+    def failing_update(params, gradient, state, config):
+        calls.append(1)
+        if len(calls) > bad_step:
+            raise NumericAbort("injected")
+        return real_update(params, gradient, state, config)
+
+    monkeypatch.setattr(trainer, "mean_first_position_mass", slow_probe)
+    monkeypatch.setattr(trainer, "apply_update", failing_update)
+    with pytest.raises(NumericAbort) as info:
+        train(small_config(total_steps=5), world)
+    assert info.value.step == bad_step
+    assert _probe_threads() == []
 
 
 def test_train_adaptive_and_symmetric_rules_diverge(world):
