@@ -2,7 +2,7 @@
 
 Submodules split by concern: ``policy`` (the toy autoregressive slate
 policy), ``signals`` (ratios and advantage normalization), ``bounds``
-(adaptive denominators and baseline coefficients), ``simenv`` (synthetic
+(adaptive and baseline gradient coefficients), ``simenv`` (synthetic
 interaction world), ``metrics`` (ranking and diversity evaluation),
 ``trainer`` (the optimization loop), ``config`` (experiment files) and
 ``cli`` (the operator surface).

@@ -1,7 +1,7 @@
 """Adaptive gradient bounds: boost for winners, entropy-aware penalty for losers.
 
 Every optimizer variant here reduces to a pure function from the sequence
-ratio r to the effective gradient coefficient r / denominator:
+ratio r to the effective gradient coefficient that multiplies the advantage:
 
 * GBPO baseline: symmetric static cap, coefficient min(r, 1).
 * Positive boost: when the advantage is nonnegative the cap is raised to
@@ -13,13 +13,19 @@ ratio r to the effective gradient coefficient r / denominator:
   failures are treated as ordinary samples; homogeneous failures are punished
   harder to break repetitive-recommendation lock-in.
 
-Each denominator has two modes. "literal" is the published piecewise form
-taken at face value; "text-intent" realizes the behavior the surrounding
-description ascribes to it. The literal positive form jumps discontinuously
-to r * (1 + eps_boost) above the threshold instead of holding the cap, and
-the literal negative form max(1, (1 - r)/scale) is identically 1 for every
+The paper writes each rule as r divided by a piecewise denominator; the code
+keeps only the coefficient it implies. Each rule has two modes. "literal"
+takes the published denominator at face value; "text-intent" realizes the
+behavior the surrounding description ascribes to it. The literal positive
+denominator 1 / (1 + eps_boost) makes the coefficient jump discontinuously to
+r * (1 + eps_boost) above the threshold instead of holding the cap, and the
+literal negative denominator max(1, (1 - r)/scale) is identically 1 for every
 r > 0 and scale >= 1, so its coefficient is just r. Both are kept: text-intent
 is the default, literal is the fidelity/regression variant.
+
+One array function per rule computes every coefficient: training calls it on
+a batch of slates, the scalar entry points and :func:`boundary_curve` on
+single ratios, so the boundary table holds the numbers training applies.
 """
 
 from __future__ import annotations
@@ -117,23 +123,34 @@ def list_entropy(slate_items, categories, base: float | None = None) -> float:
             raise ValueError(f"item {item} has no category label") from exc
         cats.append(int(cat))
     _, counts = np.unique(np.asarray(cats), return_counts=True)
-    p = counts / counts.sum()
-    h = float(-(p * np.log(p)).sum())
+    h = float(count_entropy(counts))
     if base is not None:
         h /= math.log(base)
     return max(h, 0.0)
 
 
-def entropy_penalty_scale(h: float, h_avg: float, temperature: float) -> float:
-    """Penalty amplification for a slate of entropy ``h``: 1 + temp * tanh(max(0, avg - h)).
+def count_entropy(counts) -> np.ndarray:
+    """Shannon entropy in nats of category counts along the last axis.
+
+    Zero counts contribute nothing, so a row may be padded to a fixed width.
+    """
+    counts = np.asarray(counts)
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, p * np.log(p), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def entropy_penalty_scale(h, h_avg, temperature: float):
+    """Penalty amplification for slates of entropy ``h``: 1 + temp * tanh(max(0, avg - h)).
 
     Equals 1 whenever the slate is at least as diverse as the running average
     (exploration tolerance) and saturates below 1 + temperature as the slate
-    collapses far under it.
+    collapses far under it. Elementwise over arrays.
     """
-    if h < 0 or h_avg < 0:
+    if np.any(np.asarray(h) < 0) or np.any(np.asarray(h_avg) < 0):
         raise ValueError("entropies must be >= 0")
-    return 1.0 + temperature * math.tanh(max(0.0, h_avg - h))
+    return 1.0 + temperature * np.tanh(np.maximum(0.0, h_avg - h))
 
 
 def _check_ratio(r: float) -> float:
@@ -143,40 +160,6 @@ def _check_ratio(r: float) -> float:
     return r
 
 
-def boost_denominator(r: float, config: BoundConfig) -> float:
-    """Denominator applied when the advantage is nonnegative.
-
-    text-intent: r / (1 + eps_boost) above the threshold, so the effective
-    coefficient is held at the raised cap min(r, 1 + eps_boost). literal: the
-    published constant 1 / (1 + eps_boost), whose coefficient jumps to
-    r * (1 + eps_boost).
-    """
-    r = _check_ratio(r)
-    cap = 1.0 + config.eps_boost
-    if r <= cap:
-        return 1.0
-    if config.pos_mode == TEXT_INTENT:
-        return r / cap
-    return 1.0 / cap
-
-
-def penalty_denominator(r: float, scale: float, config: BoundConfig) -> float:
-    """Denominator applied when the advantage is negative.
-
-    text-intent: max(1, r) / scale, so the effective coefficient is
-    min(r, 1) * scale: the GBPO bound amplified by the diversity penalty, and
-    exactly the GBPO bound when scale is 1. literal: max(1, (1 - r)/scale),
-    which is identically 1 over the whole operating range (the documented
-    degeneracy), leaving the coefficient unbounded at r.
-    """
-    r = _check_ratio(r)
-    if not math.isfinite(scale) or scale < 1.0:
-        raise ValueError(f"penalty scale must be >= 1, got {scale}")
-    if config.neg_mode == TEXT_INTENT:
-        return max(1.0, r) / scale
-    return max(1.0, (1.0 - r) / scale)
-
-
 def effective_coefficient(
     r: float,
     advantage: float,
@@ -184,23 +167,20 @@ def effective_coefficient(
     tracker: EntropyTracker,
     config: BoundConfig,
 ) -> float:
-    """The scalar multiplying advantage * mean-log-prob gradient: r / denominator.
+    """The scalar multiplying advantage * mean-log-prob gradient.
 
-    Dispatches on the advantage sign: nonnegative goes through the boost
-    denominator, negative through the entropy-aware penalty with the scale
-    computed from the slate entropy and the tracker's running average. An
-    uninitialized tracker contributes no penalty (scale 1). Computed in the
-    equivalent capped form (e.g. min(r, 1 + eps_boost)) shared with
+    Dispatches on the advantage sign: nonnegative goes through the boost,
+    negative through the entropy-aware penalty with the scale computed from
+    the slate entropy and the tracker's running average. An uninitialized
+    tracker contributes no penalty (scale 1). Shares its arithmetic with
     :func:`sage_coefficients`.
     """
-    if h < 0:
-        raise ValueError("entropies must be >= 0")
     return float(_sage(_check_ratio(r), advantage, h, tracker, config))
 
 
 def gbpo_coefficient(r: float) -> float:
     """Static symmetric baseline bound: min(r, 1) for either advantage sign."""
-    return min(_check_ratio(r), 1.0)
+    return float(_gbpo(_check_ratio(r)))
 
 
 def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> float:
@@ -230,7 +210,7 @@ def sage_coefficients(log_r, advantages, entropies, tracker: EntropyTracker, con
 
 def gbpo_coefficients(log_r):
     """Array form of :func:`gbpo_coefficient`."""
-    return np.minimum(_ratios(log_r), 1.0)
+    return _gbpo(_ratios(log_r))
 
 
 def grpo_clip_coefficients(log_r, advantages, clip_eps: float = 0.2):
@@ -241,7 +221,7 @@ def grpo_clip_coefficients(log_r, advantages, clip_eps: float = 0.2):
 def _sage(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
     h = np.asarray(entropies, dtype=np.float64)
     h_avg = tracker.mean if tracker.initialized else h
-    scale = 1.0 + config.diversity_temp * np.tanh(np.maximum(0.0, h_avg - h))
+    scale = entropy_penalty_scale(h, h_avg, config.diversity_temp)
     cap = 1.0 + config.eps_boost
     if config.pos_mode == TEXT_INTENT:
         pos = np.minimum(r, cap)
@@ -252,6 +232,10 @@ def _sage(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig
     else:
         neg = r / np.maximum(1.0, (1.0 - r) / scale)
     return np.where(np.asarray(advantages) >= 0, pos, neg)
+
+
+def _gbpo(r):
+    return np.minimum(r, 1.0)
 
 
 def _grpo(r, advantages, clip_eps: float):
@@ -277,9 +261,11 @@ def boundary_curve(
     """Tabulate effective coefficients over a ratio grid for plotting.
 
     Emits one row per (r, variant, mode, entropy level) with variants gbpo,
-    sage_pos and sage_neg. The entropy level only matters for sage_neg; the
-    other variants repeat their value across levels so the table stays
-    rectangular.
+    sage_pos (advantage +1) and sage_neg (advantage -1), each computed by the
+    coefficient function training calls. A level (h, h_avg) is the slate
+    entropy against the tracker's running average. It only matters for
+    sage_neg; the other variants repeat their value across levels so the
+    table stays rectangular.
     """
     levels = dict(entropy_levels if entropy_levels is not None else DEFAULT_ENTROPY_LEVELS)
     grid = [float(r) for r in r_grid]
@@ -290,20 +276,13 @@ def boundary_curve(
     rows: list[BoundaryPoint] = []
     for r in grid:
         for mode in _MODES:
-            pos_cfg = replace(config, pos_mode=mode, neg_mode=mode)
+            cfg = replace(config, pos_mode=mode, neg_mode=mode)
             for level, (h, h_avg) in levels.items():
-                scale = entropy_penalty_scale(h, h_avg, config.diversity_temp)
+                tracker = EntropyTracker(mean=h_avg)
                 rows.append(BoundaryPoint(r, "gbpo", mode, level, gbpo_coefficient(r)))
-                rows.append(
-                    BoundaryPoint(
-                        r, "sage_pos", mode, level, r / boost_denominator(r, pos_cfg)
-                    )
-                )
-                rows.append(
-                    BoundaryPoint(
-                        r, "sage_neg", mode, level, r / penalty_denominator(r, scale, pos_cfg)
-                    )
-                )
+                for variant, advantage in (("sage_pos", 1.0), ("sage_neg", -1.0)):
+                    coef = effective_coefficient(r, advantage, h, tracker, cfg)
+                    rows.append(BoundaryPoint(r, variant, mode, level, coef))
     return rows
 
 

@@ -52,14 +52,21 @@ def _check_logps(new_logps, old_logps) -> tuple[np.ndarray, np.ndarray]:
     return new, old
 
 
+def log_ratio(new_logps: np.ndarray, old_logps: np.ndarray) -> np.ndarray:
+    """Log of the sequence ratio: mean over the last (position) axis of new - old.
+
+    Unchecked, for any stack of slates; non-finite inputs give non-finite output.
+    """
+    return (new_logps - old_logps).mean(axis=-1)
+
+
 def sequence_ratio(new_logps, old_logps) -> float:
     """Geometric mean of per-position probability ratios.
 
     exp(mean(new - old)); equals 1 exactly when the policies agree on the
     slate, and is strictly positive otherwise.
     """
-    new, old = _check_logps(new_logps, old_logps)
-    return float(np.exp(np.mean(new - old)))
+    return float(np.exp(log_ratio(*_check_logps(new_logps, old_logps))))
 
 
 def group_normalize(

@@ -96,6 +96,10 @@ class FeedbackConfig:
         if self.watch_noise_sigma < 0:
             raise ValueError("watch_noise_sigma must be >= 0")
 
+    def click_logits(self, affinity, quality):
+        """Click logit of items with these preference weights and qualities."""
+        return self.affinity_weight * affinity + self.quality_weight * quality + self.click_bias
+
 
 @dataclass(frozen=True)
 class InteractionLog:
@@ -270,39 +274,38 @@ def logged_pretraining(
 
 
 def feedback(
-    user: UserModel,
-    slate_items,
+    users: list[UserModel],
+    slates,
     catalog: Catalog,
     rng: np.random.Generator,
     config: FeedbackConfig,
 ) -> np.ndarray:
-    """Score one slate, returning the reward vector (total clicks, total watch-time).
+    """Score (B, G, L) slates, returning (B, G, 2) rewards (total clicks, total watch-time).
 
-    Exactly 2L random draws are consumed per call (one uniform and one noise
-    value per item) regardless of outcomes, so downstream draws do not depend
-    on which items were clicked.
+    Row b's G slates are shown to ``users[b]``. Exactly two (B, G, L) blocks
+    of draws are consumed per call (one uniform, then one noise value per
+    item) regardless of outcomes, so downstream draws do not depend on which
+    items were clicked.
     """
-    items = np.asarray(slate_items, dtype=np.intp)
-    if items.ndim != 1 or items.shape[0] == 0:
-        raise ValueError("slate must be a nonempty 1-D item sequence")
+    items = np.asarray(slates, dtype=np.intp)
+    if items.ndim != 3 or items.size == 0 or items.shape[0] != len(users):
+        raise ValueError("slates must be a nonempty (B, G, L) item array, one row per user")
     if items.min() < 0 or items.max() >= catalog.n_items:
         raise ValueError("slate references items beyond the catalog")
-    affinity = user.preference[catalog.categories[items]]
+    pref = np.stack([u.preference for u in users])
+    engagement = np.array([u.engagement_scale for u in users])
+    affinity = pref[np.arange(len(users))[:, None, None], catalog.categories[items]]
     quality = catalog.quality[items]
-    logits = (
-        config.affinity_weight * affinity
-        + config.quality_weight * quality
-        + config.click_bias
-    )
+    logits = config.click_logits(affinity, quality)
     # The sigmoid is meant to saturate at extreme logits, so overflow in the
     # intermediate exp is expected and harmless.
     with np.errstate(over="ignore"):
         p_click = 1.0 / (1.0 + np.exp(-logits))
-    clicks = rng.random(items.shape[0]) < p_click
+    clicks = rng.random(items.shape) < p_click
     sigma = config.watch_noise_sigma
-    noise = rng.lognormal(-0.5 * sigma * sigma, sigma, items.shape[0])
-    watch = clicks * user.engagement_scale * quality * noise
-    return np.array([float(clicks.sum()), float(watch.sum())])
+    noise = rng.lognormal(-0.5 * sigma * sigma, sigma, items.shape)
+    watch = clicks * engagement[:, None, None] * quality * noise
+    return np.stack([clicks.sum(axis=2), watch.sum(axis=2)], axis=2).astype(np.float64)
 
 
 def identify_cold_items(
@@ -349,11 +352,7 @@ def relevant_items(
         raise ValueError("n_relevant must lie in [1, n_items]")
     out = []
     for user in users:
-        logits = (
-            config.affinity_weight * user.preference[catalog.categories]
-            + config.quality_weight * catalog.quality
-            + config.click_bias
-        )
+        logits = config.click_logits(user.preference[catalog.categories], catalog.quality)
         out.append(frozenset(top_k_ids(logits, n_relevant)))
     return out
 

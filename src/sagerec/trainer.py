@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundConfig, EntropyTracker, update_entropy_ema
+from .bounds import BoundConfig, EntropyTracker, count_entropy, update_entropy_ema
 
 # The batch's coefficient stage, bound to the names the per-layer trace
 # (bench/tracing.py) times; the scalar forms stay in ``bounds``.
@@ -54,9 +54,11 @@ from .signals import (
     batch_normalize,
     decoupled_advantage,
     group_normalize,
+    log_ratio,
     naive_advantage,
 )
 from .simenv import World, item_vectors
+from .simenv import feedback as _score_feedback  # the traced feedback stage
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -205,38 +207,10 @@ class StepBatch:
 
 def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) -> np.ndarray:
     """Category entropy of every slate row, in nats."""
-    S, L = items.shape
+    S = items.shape[0]
     cats = categories[items] + n_subcats * np.arange(S)[:, None]
     counts = np.bincount(cats.ravel(), minlength=S * n_subcats).reshape(S, n_subcats)
-    p = counts / L
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, p * np.log(p), 0.0)
-    return np.maximum(-terms.sum(axis=1), 0.0)
-
-
-def _score_feedback(
-    users: np.ndarray, items: np.ndarray, world: World, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized two-objective feedback for (B, G, L) slates, as (B, G, 2).
-
-    ``users`` gives each row's user, shared by its G slates. Per-slate math
-    matches the environment's feedback op; draws are two (B, G, L) blocks.
-    """
-    cfg = world.config.feedback
-    catalog = world.catalog
-    pref = np.stack([world.users[int(u)].preference for u in users])
-    engagement = np.array([world.users[int(u)].engagement_scale for u in users])
-    affinity = pref[np.arange(len(users))[:, None, None], catalog.categories[items]]
-    quality = catalog.quality[items]
-    logits = cfg.affinity_weight * affinity + cfg.quality_weight * quality + cfg.click_bias
-    # Saturation at extreme logits is intended; silence the benign exp overflow.
-    with np.errstate(over="ignore"):
-        p_click = 1.0 / (1.0 + np.exp(-logits))
-    clicks = rng.random(items.shape) < p_click
-    sigma = cfg.watch_noise_sigma
-    noise = rng.lognormal(-0.5 * sigma * sigma, sigma, items.shape)
-    watch = clicks * engagement[:, None, None] * quality * noise
-    return np.stack([clicks.sum(axis=2), watch.sum(axis=2)], axis=2).astype(np.float64)
+    return np.maximum(count_entropy(counts), 0.0)
 
 
 def _build_groups(users, items, scan: SlateScan, rewards, entropies) -> StepBatch:
@@ -275,7 +249,8 @@ def _collect_batch(
     """
     scores = np.stack([user_scores(frozen, int(u)) for u in users])
     items = _sample_slates(scores, group_size, slate_length, rng)
-    rewards = _score_feedback(users, items, world, rng)
+    models = [world.users[int(u)] for u in users]
+    rewards = _score_feedback(models, items, world.catalog, rng, world.config.feedback)
     flat = items.reshape(-1, slate_length)
     entropies = _slate_entropies(flat, world.catalog.categories, world.catalog.n_subcats)
     return _build_groups(users, items, SlateScan(scores, items), rewards, entropies)
@@ -322,7 +297,7 @@ def compute_gradient(
     scan = batch.scan
     if scan is None:
         scan = SlateScan(np.stack([user_scores(params, int(u)) for u in batch.users]), batch.items)
-    log_r = (scan.logps - batch.logps).mean(axis=2).ravel()
+    log_r = log_ratio(scan.logps, batch.logps).ravel()
     # Overflow here produces inf ratios, which the explicit check below turns
     # into a diagnosable error; the warning itself is noise.
     with np.errstate(over="ignore"):

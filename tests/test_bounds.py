@@ -7,25 +7,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagerec.bounds import (
     BOUNDARY_CSV_HEADER,
+    DEFAULT_ENTROPY_LEVELS,
     BoundConfig,
     EntropyTracker,
-    boost_denominator,
+    _gbpo,
+    _sage,
     boundary_curve,
     effective_coefficient,
     entropy_penalty_scale,
     gbpo_coefficient,
     grpo_clip_coefficient,
     list_entropy,
-    penalty_denominator,
     update_entropy_ema,
     write_boundary_curve,
 )
 
 LITERAL_CFG = BoundConfig(pos_mode="literal", neg_mode="literal")
 INTENT_CFG = BoundConfig()
+NO_TRACKER = EntropyTracker()
+
+
+def boost(r, cfg):
+    """Coefficient of a nonnegative-advantage slate."""
+    return effective_coefficient(r, 1.0, 0.0, NO_TRACKER, cfg)
+
+
+def penalty(r, h, h_avg, cfg):
+    """Coefficient of a negative-advantage slate of entropy h against a running average h_avg."""
+    return effective_coefficient(r, -1.0, h, EntropyTracker(mean=h_avg), cfg)
 
 
 def test_config_validation():
@@ -123,25 +137,24 @@ def test_penalty_scale_saturates_below_one_plus_temp():
 
 def test_boost_coefficient_below_threshold_is_identity():
     for cfg in (LITERAL_CFG, INTENT_CFG):
-        assert boost_denominator(1.0, cfg) == 1.0
-        assert 1.2 / boost_denominator(1.2, cfg) == 1.2
+        assert boost(1.0, cfg) == 1.0
+        assert boost(1.2, cfg) == 1.2
 
 
 def test_boost_coefficient_above_threshold_by_mode():
     # text-intent holds the cap; literal jumps to r * (1 + eps).
-    assert 1.5 / boost_denominator(1.5, INTENT_CFG) == pytest.approx(1.3, abs=1e-12)
-    assert 1.5 / boost_denominator(1.5, LITERAL_CFG) == pytest.approx(1.95, abs=1e-12)
+    assert boost(1.5, INTENT_CFG) == pytest.approx(1.3, abs=1e-12)
+    assert boost(1.5, LITERAL_CFG) == pytest.approx(1.95, abs=1e-12)
 
 
 def test_boost_text_intent_curve_is_min_r_cap():
     for r in np.arange(0.1, 2.05, 0.1):
-        coef = r / boost_denominator(float(r), INTENT_CFG)
-        assert coef == pytest.approx(min(r, 1.3), abs=1e-12)
+        assert boost(float(r), INTENT_CFG) == pytest.approx(min(r, 1.3), abs=1e-12)
 
 
 def test_boost_text_intent_monotone_continuous_bounded():
     grid = np.linspace(0.01, 3.0, 500)
-    coefs = [r / boost_denominator(float(r), INTENT_CFG) for r in grid]
+    coefs = [boost(float(r), INTENT_CFG) for r in grid]
     assert all(b >= a - 1e-12 for a, b in zip(coefs, coefs[1:]))
     assert max(coefs) <= 1.3 + 1e-12
     jumps = np.abs(np.diff(coefs))
@@ -149,26 +162,37 @@ def test_boost_text_intent_monotone_continuous_bounded():
 
 
 def test_penalty_literal_mode_is_degenerate():
-    """max(1, (1-r)/scale) stays at 1 over the whole operating range."""
-    for r in np.arange(0.05, 2.0, 0.05):
-        for scale in (1.0, 1.2, 1.5):
-            assert penalty_denominator(float(r), scale, LITERAL_CFG) == 1.0
+    """max(1, (1-r)/scale) stays at 1 over the whole operating range, so the coefficient is r."""
+    # Penalty scales 1, 1 + 0.5 tanh(1) and 1.5 (saturated).
+    for h, h_avg in ((1.0, 1.0), (0.0, 1.0), (0.0, 1e6)):
+        for r in np.arange(0.05, 2.0, 0.05):
+            assert penalty(float(r), h, h_avg, LITERAL_CFG) == float(r)
 
 
 def test_penalty_text_intent_amplifies_low_entropy():
-    assert 0.8 / penalty_denominator(0.8, 1.4, INTENT_CFG) == pytest.approx(1.12, abs=1e-12)
-    # scale 1 reverts to the symmetric baseline bound.
+    # A saturated gap gives scale exactly 1 + diversity_temp = 1.4.
+    cfg = BoundConfig(diversity_temp=0.4)
+    assert penalty(0.8, 0.0, 50.0, cfg) == pytest.approx(1.12, abs=1e-12)
+    # scale 1 (a diverse slate, or no temperature) reverts to the symmetric baseline bound.
     for r in (0.3, 0.8, 1.0, 1.7):
-        assert r / penalty_denominator(r, 1.0, INTENT_CFG) == pytest.approx(
-            min(r, 1.0), abs=1e-12
-        )
+        assert penalty(r, 1.2, 1.0, INTENT_CFG) == pytest.approx(min(r, 1.0), abs=1e-12)
+        assert penalty(r, 0.0, 1.0, BoundConfig(diversity_temp=0.0)) == min(r, 1.0)
 
 
 def test_penalty_rejects_bad_args():
     with pytest.raises(ValueError):
-        penalty_denominator(0.0, 1.0, INTENT_CFG)
+        penalty(0.0, 0.0, 1.0, INTENT_CFG)
     with pytest.raises(ValueError):
-        penalty_denominator(1.0, 0.9, INTENT_CFG)
+        penalty(-1.0, 0.0, 1.0, INTENT_CFG)
+    # A scale below 1 needs a negative temperature or entropy; both are refused.
+    with pytest.raises(ValueError):
+        BoundConfig(diversity_temp=-0.1)
+    with pytest.raises(ValueError):
+        penalty(1.0, -0.1, 1.0, INTENT_CFG)
+    with pytest.raises(ValueError):
+        entropy_penalty_scale(0.0, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        entropy_penalty_scale(np.array([0.5, -0.1]), 1.0, 0.5)
 
 
 def test_effective_coefficient_on_policy_start():
@@ -250,6 +274,42 @@ def test_boundary_curve_geometry():
         assert by_key[(key, "sage_neg", "literal", "low")] == float(r)
 
     assert by_key[(2.0, "gbpo", "literal", "high")] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps_boost=st.floats(0.0, 2.0),
+    diversity_temp=st.floats(0.0, 3.0),
+    h=st.floats(0.0, 5.0),
+    h_avg=st.floats(0.0, 5.0),
+)
+def test_boundary_rows_are_the_training_coefficients(eps_boost, diversity_temp, h, h_avg):
+    """Every row equals, bitwise, the scalar coefficient and the batch form training runs."""
+    config = BoundConfig(eps_boost=eps_boost, diversity_temp=diversity_temp)
+    levels = {**DEFAULT_ENTROPY_LEVELS, "drawn": (h, h_avg)}
+    grid = [k / 20 for k in range(1, 51)]
+    rows = boundary_curve(grid, config, levels)
+    assert len(rows) == len(grid) * 2 * len(levels) * 3
+    r = np.array(grid)
+    for mode in ("literal", "text-intent"):
+        cfg = BoundConfig(eps_boost, diversity_temp, pos_mode=mode, neg_mode=mode)
+        for level, (lh, lavg) in levels.items():
+            tracker = EntropyTracker(mean=lavg)
+            # The batch form sees one entropy per slate, as in training.
+            entropies = np.full(len(grid), lh)
+            batch = {
+                "gbpo": _gbpo(r),
+                "sage_pos": _sage(r, np.ones(len(grid)), entropies, tracker, cfg),
+                "sage_neg": _sage(r, -np.ones(len(grid)), entropies, tracker, cfg),
+            }
+            for row in (x for x in rows if x.mode == mode and x.entropy_level == level):
+                i = grid.index(row.r)
+                if row.variant == "gbpo":
+                    scalar = gbpo_coefficient(row.r)
+                else:
+                    advantage = 1.0 if row.variant == "sage_pos" else -1.0
+                    scalar = effective_coefficient(row.r, advantage, lh, tracker, cfg)
+                assert row.coefficient == scalar == batch[row.variant][i], row
 
 
 def test_boundary_curve_rejects_bad_grid():

@@ -11,6 +11,7 @@ from sagerec.signals import (
     batch_normalize,
     decoupled_advantage,
     group_normalize,
+    log_ratio,
     naive_advantage,
     sequence_ratio,
 )
@@ -54,6 +55,17 @@ def test_sequence_ratio_invariant_under_tiling():
     base = sequence_ratio(new, old)
     assert sequence_ratio(np.tile(new, 2), np.tile(old, 2)) == base
     assert sequence_ratio(np.tile(new, 4), np.tile(old, 4)) == base
+
+
+def test_log_ratio_rows_equal_sequence_ratio():
+    """The batched log-ratio training uses gives each slate's checked ratio, bitwise."""
+    rng = np.random.default_rng(8)
+    for length in range(1, 21):
+        new = rng.normal(-3.0, 1.0, (5, 4, length))
+        old = rng.normal(-3.0, 1.0, (5, 4, length))
+        batched = np.exp(log_ratio(new, old)).ravel()
+        rows = [sequence_ratio(n, o) for n, o in zip(new.reshape(-1, length), old.reshape(-1, length))]
+        assert batched.tolist() == rows
 
 
 def test_ratio_input_validation():

@@ -139,15 +139,20 @@ def test_logged_pretraining_counts_track_weights():
     assert np.all(np.abs(counts - n * p) <= 3 * sigma + 1e-9)
 
 
+def score_one(user, items, cat, rng, cfg):
+    """(clicks, watch) of one slate: a one-user, one-slate batch."""
+    return feedback([user], [[items]], cat, rng, cfg)[0, 0]
+
+
 def test_feedback_floor_and_ceiling():
     cat = generate_catalog(20, 4, 1.0, 0.2, seed=0)
     user = uniform_user(4, engagement=10.0)
     rng = np.random.default_rng(0)
     floor_cfg = FeedbackConfig(click_bias=-1e3, watch_noise_sigma=0.0)
-    assert feedback(user, [0, 1, 2], cat, rng, floor_cfg) == pytest.approx([0.0, 0.0])
+    assert score_one(user, [0, 1, 2], cat, rng, floor_cfg) == pytest.approx([0.0, 0.0])
     ceil_cfg = FeedbackConfig(click_bias=1e3, watch_noise_sigma=0.0)
     items = [3, 4, 5, 6]
-    reward = feedback(user, items, cat, rng, ceil_cfg)
+    reward = score_one(user, items, cat, rng, ceil_cfg)
     assert reward[0] == len(items)
     assert reward[1] == pytest.approx(10.0 * cat.quality[items].sum(), rel=1e-12)
 
@@ -169,7 +174,7 @@ def test_feedback_click_mean_matches_analytic():
     )
     rng = np.random.default_rng(42)
     trials = 10000
-    total = sum(feedback(user, items, cat, rng, cfg)[0] for _ in range(trials))
+    total = sum(score_one(user, items, cat, rng, cfg)[0] for _ in range(trials))
     mean = total / trials
     sigma = math.sqrt(float((p * (1 - p)).sum()) / trials)
     assert abs(mean - p.sum()) <= 3 * sigma
@@ -177,14 +182,15 @@ def test_feedback_click_mean_matches_analytic():
 
 def test_feedback_watch_needs_clicks():
     cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
-    user = uniform_user(4)
+    users = [uniform_user(4), generate_users(1, 4, seed=2)[0]]
     cfg = FeedbackConfig()
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        clicks, watch = feedback(user, [1, 2, 3], cat, rng, cfg)
-        assert np.isfinite(watch) and watch >= 0
-        if clicks == 0:
-            assert watch == 0.0
+    for _ in range(100):
+        rewards = feedback(users, [[[1, 2, 3]] * 3, [[4, 5, 6]] * 3], cat, rng, cfg)
+        assert rewards.shape == (2, 3, 2)
+        clicks, watch = rewards[..., 0], rewards[..., 1]
+        assert np.all(np.isfinite(watch)) and np.all(watch >= 0)
+        assert np.all(watch[clicks == 0] == 0.0)
 
 
 def test_feedback_rejects_bad_slates():
@@ -192,9 +198,36 @@ def test_feedback_rejects_bad_slates():
     user = uniform_user(4)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        feedback(user, [], cat, rng, FeedbackConfig())
+        score_one(user, [], cat, rng, FeedbackConfig())
     with pytest.raises(ValueError):
-        feedback(user, [25], cat, rng, FeedbackConfig())
+        score_one(user, [25], cat, rng, FeedbackConfig())
+    with pytest.raises(ValueError):
+        feedback([user], [0, 1, 2], cat, rng, FeedbackConfig())  # not (B, G, L)
+    with pytest.raises(ValueError):
+        feedback([user, user], [[[0, 1]]], cat, rng, FeedbackConfig())  # one row, two users
+
+
+def test_feedback_batch_rejects_out_of_range_ids():
+    cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
+    users = generate_users(3, 4, seed=9)
+    rng = np.random.default_rng(0)
+    slates = np.tile(np.arange(4), (3, 2, 1))
+    assert feedback(users, slates, cat, rng, FeedbackConfig()).shape == (3, 2, 2)
+    for bad in (20, -1):
+        corrupt = slates.copy()
+        corrupt[2, 1, 3] = bad
+        with pytest.raises(ValueError, match="beyond the catalog"):
+            feedback(users, corrupt, cat, rng, FeedbackConfig())
+
+
+def test_feedback_random_stream_is_pinned():
+    """A fixed seed scores one slate to the same numbers as the single-slate model it replaced."""
+    cat = generate_catalog(30, 5, 1.0, 0.2, seed=11)
+    user = generate_users(1, 5, seed=4)[0]
+    rng = np.random.default_rng(2024)
+    clicks, watch = score_one(user, [2, 7, 11, 19, 23, 29], cat, rng, FeedbackConfig())
+    assert clicks == 2.0
+    assert watch == pytest.approx(43.75727696174242, rel=1e-12)
 
 
 def test_identify_cold_items_oracle():

@@ -20,6 +20,7 @@ from sagerec.bounds import (
     effective_coefficient,
     gbpo_coefficient,
     grpo_clip_coefficient,
+    list_entropy,
     update_entropy_ema,
 )
 from sagerec.policy import (
@@ -315,6 +316,34 @@ def test_fast_path_equals_rescoring_scan(n_users, group_size, slate_length, seed
     fast = compute_gradient(batch, params, frozen, config, tracker)
     scanned = compute_gradient(replace(batch, scan=None), params, frozen, config, tracker)
     assert_results_identical(fast, scanned)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**batch_shapes)
+def test_collected_entropies_are_list_entropy(n_users, group_size, slate_length, seed):
+    """The penalty's per-slate entropies are the metric's ``list_entropy``, bitwise.
+
+    The tiny world has five categories, and numpy adds a row of fewer than eight
+    terms in order, so a zero-padded count row sums like the metric's compact one.
+    """
+    world = tiny_world()
+    params = make_params(world, seed=seed)
+    rng = np.random.default_rng(seed)
+    users = rng.choice(world.config.n_users, size=n_users, replace=False)
+    batch = _collect_batch(snapshot(params), world, users, group_size, slate_length, rng)
+    slates = batch.items.reshape(-1, slate_length)
+    assert batch.entropies.tolist() == [list_entropy(s, world.catalog.categories) for s in slates]
+
+
+def test_collected_entropies_on_a_wide_catalog_within_one_ulp():
+    """At 24 categories the padded rows are summed pairwise, so the last bit may differ."""
+    world = build_world(replace(WORLD_CONFIG, n_items=120, n_subcats=24), seed=3)
+    params = make_params(world)
+    rng = np.random.default_rng(4)
+    users = np.arange(world.config.n_users)
+    batch = _collect_batch(snapshot(params), world, users, 8, 6, rng)
+    expected = np.array([list_entropy(s, world.catalog.categories) for s in batch.items.reshape(-1, 6)])
+    assert np.all(np.abs(batch.entropies - expected) <= np.spacing(expected))
 
 
 @settings(max_examples=30, deadline=None)
