@@ -34,16 +34,13 @@ from .metrics import (
 from .policy import (
     PolicyGradient,
     PolicyParams,
-    Slate,
     init_policy,
     load_checkpoint,
-    sample_slate,
     save_checkpoint,
     slate_log_prob,
     snapshot,
 )
 from .signals import (
-    TrajectoryGroup,
     batch_normalize,
     decoupled_advantage,
     group_normalize,
@@ -53,6 +50,7 @@ from .signals import (
 from .simenv import Catalog, UserModel, World, WorldConfig, build_world
 from .trainer import (
     ExperimentReport,
+    StepBatch,
     StepRecord,
     TrainConfig,
     TrainResult,
@@ -75,11 +73,10 @@ __all__ = [
     "PolicyGradient",
     "PolicyParams",
     "RankedRecommendation",
-    "Slate",
+    "StepBatch",
     "StepRecord",
     "TrainConfig",
     "TrainResult",
-    "TrajectoryGroup",
     "UserModel",
     "World",
     "WorldConfig",
@@ -106,7 +103,6 @@ __all__ = [
     "naive_advantage",
     "ndcg_at_k",
     "recall_at_k",
-    "sample_slate",
     "save_checkpoint",
     "sequence_ratio",
     "slate_log_prob",

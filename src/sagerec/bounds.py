@@ -23,9 +23,10 @@ literal negative denominator max(1, (1 - r)/scale) is identically 1 for every
 r > 0 and scale >= 1, so its coefficient is just r. Both are kept: text-intent
 is the default, literal is the fidelity/regression variant.
 
-One array function per rule computes every coefficient: training calls it on
-a batch of slates, the scalar entry points and :func:`boundary_curve` on
-single ratios, so the boundary table holds the numbers training applies.
+One public array function per rule computes every coefficient from sequence
+ratios: training calls it on a batch of slates with the ratios it has already
+checked, the scalar entry points and :func:`boundary_curve` on single ratios,
+so the boundary table holds the numbers training applies.
 """
 
 from __future__ import annotations
@@ -175,12 +176,12 @@ def effective_coefficient(
     tracker contributes no penalty (scale 1). Shares its arithmetic with
     :func:`sage_coefficients`.
     """
-    return float(_sage(_check_ratio(r), advantage, h, tracker, config))
+    return float(sage_coefficients(_check_ratio(r), advantage, h, tracker, config))
 
 
 def gbpo_coefficient(r: float) -> float:
     """Static symmetric baseline bound: min(r, 1) for either advantage sign."""
-    return float(_gbpo(_check_ratio(r)))
+    return float(gbpo_coefficients(_check_ratio(r)))
 
 
 def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> float:
@@ -190,35 +191,16 @@ def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> 
     clipping binds: r > 1 + clip_eps if A >= 0, r < 1 - clip_eps if A < 0.
     Elsewhere the raw ratio passes through.
     """
-    return float(_grpo(_check_ratio(r), advantage, clip_eps))
+    return float(grpo_clip_coefficients(_check_ratio(r), advantage, clip_eps))
 
 
-# The array forms below take log-ratios, one entry per slate. A ratio that
-# underflows to exp(log_r) == 0.0 is a valid, vanishing ratio; an overflow
-# gives an inf coefficient, which the caller reports as a numeric failure.
+# The array forms below take sequence ratios, one entry per slate, and do not
+# check them: the caller does. A ratio that underflowed to 0.0 is a valid,
+# vanishing ratio with coefficient 0.
 
 
-def _ratios(log_r) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(np.asarray(log_r, dtype=np.float64))
-
-
-def sage_coefficients(log_r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
+def sage_coefficients(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
     """Array form of :func:`effective_coefficient` over a batch of slates."""
-    return _sage(_ratios(log_r), advantages, entropies, tracker, config)
-
-
-def gbpo_coefficients(log_r):
-    """Array form of :func:`gbpo_coefficient`."""
-    return _gbpo(_ratios(log_r))
-
-
-def grpo_clip_coefficients(log_r, advantages, clip_eps: float = 0.2):
-    """Array form of :func:`grpo_clip_coefficient`."""
-    return _grpo(_ratios(log_r), advantages, clip_eps)
-
-
-def _sage(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
     h = np.asarray(entropies, dtype=np.float64)
     h_avg = tracker.mean if tracker.initialized else h
     scale = entropy_penalty_scale(h, h_avg, config.diversity_temp)
@@ -234,11 +216,13 @@ def _sage(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig
     return np.where(np.asarray(advantages) >= 0, pos, neg)
 
 
-def _gbpo(r):
+def gbpo_coefficients(r):
+    """Array form of :func:`gbpo_coefficient`."""
     return np.minimum(r, 1.0)
 
 
-def _grpo(r, advantages, clip_eps: float):
+def grpo_clip_coefficients(r, advantages, clip_eps: float = 0.2):
+    """Array form of :func:`grpo_clip_coefficient`."""
     if not 0 < clip_eps < 1:
         raise ValueError(f"clip_eps must lie in (0, 1), got {clip_eps}")
     clipped = np.where(np.asarray(advantages) >= 0, r > 1.0 + clip_eps, r < 1.0 - clip_eps)

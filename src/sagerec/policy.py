@@ -62,22 +62,6 @@ class PolicyParams:
 
 
 @dataclass
-class Slate:
-    """An ordered list of L distinct items with their sampling log-probs.
-
-    ``logps[t]`` is the log-probability of ``items[t]`` given the preceding
-    items, under the policy the slate was sampled from.
-    """
-
-    user_id: int
-    items: tuple[int, ...]
-    logps: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-@dataclass
 class PolicyGradient:
     """Gradient with the same shape as :class:`PolicyParams`."""
 
@@ -262,16 +246,6 @@ def next_item_distribution(
         masked[i] = -np.inf
     probs = np.exp(masked - masked.max())
     return probs / probs.sum()
-
-
-def sample_slate(
-    params: PolicyParams, user: int, L: int, rng: np.random.Generator
-) -> Slate:
-    """Draw L items without replacement, recording their log-probs."""
-    scores = user_scores(params, user)[None, :]
-    items = gumbel_top_k(scores, 1, L, rng)
-    logps = SlateScan(scores, items).logps[0, 0]
-    return Slate(user_id=user, items=tuple(int(i) for i in items[0, 0]), logps=logps)
 
 
 def slate_log_prob(

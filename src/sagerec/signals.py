@@ -10,32 +10,9 @@ baseline exhibits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .policy import Slate
-
 DEFAULT_NORM_EPS = 1e-8
-
-
-@dataclass
-class TrajectoryGroup:
-    """G slates sampled for one user under a single frozen policy.
-
-    ``rewards`` is (G, M): one row per slate, one column per objective.
-    ``entropies`` caches each slate's category entropy at collection time,
-    for the diversity-aware penalty.
-    """
-
-    user_id: int
-    slates: list[Slate]
-    rewards: np.ndarray
-    entropies: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.slates)
 
 
 def _check_logps(new_logps, old_logps) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,6 @@ from .metrics import RankedRecommendation, evaluate_rankings, top_k_ids
 from .policy import (
     PolicyGradient,
     PolicyParams,
-    Slate,
     SlateScan,
     init_policy,
     mean_first_position_mass,
@@ -50,7 +49,6 @@ from .policy import (
 from .policy import gumbel_top_k as _sample_slates
 from .signals import (
     DEFAULT_NORM_EPS,
-    TrajectoryGroup,
     batch_normalize,
     decoupled_advantage,
     group_normalize,
@@ -59,8 +57,6 @@ from .signals import (
 )
 from .simenv import World, item_vectors
 from .simenv import feedback as _score_feedback  # the traced feedback stage
-
-REPORT_SCHEMA_VERSION = 1
 
 OPTIMIZERS = ("sage", "gbpo", "grpo")
 ABLATION_ALIASES = {
@@ -127,6 +123,12 @@ class TrainConfig:
             raise ValueError("embedding_dim must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.eval_k < 1:
+            raise ValueError("eval_k must be >= 1")
+        if self.norm_eps < 0:
+            raise ValueError("norm_eps must be >= 0")
+        if not 0 < self.grpo_clip_eps < 1:
+            raise ValueError("grpo_clip_eps must lie in (0, 1)")
 
     def resolve(self) -> "TrainConfig":
         """Normalize ablation aliases into a base optimizer plus switched-off knobs."""
@@ -190,19 +192,12 @@ class StepBatch:
     scan: SlateScan | None = None
 
     @classmethod
-    def from_groups(cls, groups: list[TrajectoryGroup]) -> "StepBatch":
-        """Stack per-user groups into a batch; it carries no scan."""
-        if not groups:
+    def concat(cls, batches: list["StepBatch"]) -> "StepBatch":
+        """Join batches user after user; the result carries no scan."""
+        if not batches:
             raise ValueError("empty batch")
-        if any(g.entropies is None for g in groups):
-            raise ValueError("every group needs its slate entropies")
-        return cls(
-            users=np.array([g.user_id for g in groups]),
-            items=np.array([[s.items for s in g.slates] for g in groups], dtype=np.int64),
-            logps=np.array([[s.logps for s in g.slates] for g in groups]),
-            rewards=np.stack([g.rewards for g in groups]),
-            entropies=np.concatenate([g.entropies for g in groups]),
-        )
+        names = ("users", "items", "logps", "rewards", "entropies")
+        return cls(**{n: np.concatenate([getattr(b, n) for b in batches]) for n in names})
 
 
 def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) -> np.ndarray:
@@ -225,13 +220,17 @@ def collect_group(
     group_size: int,
     slate_length: int,
     rng: np.random.Generator,
-) -> TrajectoryGroup:
-    """Sample G slates for one user from the frozen policy and score them."""
+) -> StepBatch:
+    """Sample G slates for one user from the frozen policy and score them.
+
+    The one-row batch carries no scan: the caller may move the parameters
+    away from ``frozen`` before computing a gradient.
+    """
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
     batch = _collect_batch(frozen, world, np.array([user]), group_size, slate_length, rng)
-    slates = [Slate(user, tuple(r.tolist()), lp) for r, lp in zip(batch.items[0], batch.logps[0])]
-    return TrajectoryGroup(user, slates, batch.rewards[0], batch.entropies)
+    batch.scan = None
+    return batch
 
 
 def _collect_batch(
@@ -268,7 +267,7 @@ def _batch_advantages(rewards: np.ndarray, config: TrainConfig) -> np.ndarray:
 
 
 def compute_gradient(
-    batch: StepBatch | list[TrajectoryGroup],
+    batch: StepBatch | list[StepBatch],
     params: PolicyParams,
     frozen: PolicyParams,
     config: TrainConfig,
@@ -280,13 +279,13 @@ def compute_gradient(
     For every slate: the sequence ratio against the snapshot's log-probs (the
     batch carries them, so ``frozen`` is not read), the advantage, the
     optimizer's coefficient, and the analytic per-item-averaged log-prob
-    gradient, accumulated with one weight vector per user group. A batch
-    without a scan, like any list of groups, is rescored under ``params``;
-    ``advantages`` default to the batch's own.
+    gradient, accumulated with one weight vector per user group. A list of
+    batches is joined with :meth:`StepBatch.concat`. A batch without a scan is
+    rescored under ``params``; ``advantages`` default to the batch's own.
     """
     config = config.resolve()
     if not isinstance(batch, StepBatch):
-        batch = StepBatch.from_groups(batch)
+        batch = StepBatch.concat(batch)
     if advantages is None:
         advantages = _batch_advantages(batch.rewards, config)
     B, G, L = batch.items.shape
@@ -297,11 +296,10 @@ def compute_gradient(
     scan = batch.scan
     if scan is None:
         scan = SlateScan(np.stack([user_scores(params, int(u)) for u in batch.users]), batch.items)
-    log_r = log_ratio(scan.logps, batch.logps).ravel()
     # Overflow here produces inf ratios, which the explicit check below turns
     # into a diagnosable error; the warning itself is noise.
     with np.errstate(over="ignore"):
-        ratios = np.exp(log_r)
+        ratios = np.exp(log_ratio(scan.logps, batch.logps).ravel())
     if not np.all(np.isfinite(ratios)):
         bad = int(np.flatnonzero(~np.isfinite(ratios))[0])
         raise NumericAbort(
@@ -309,11 +307,11 @@ def compute_gradient(
         )
 
     if config.optimizer == "sage":
-        coefs = effective_coefficient(log_r, advantages, batch.entropies, tracker, config.bounds)
+        coefs = effective_coefficient(ratios, advantages, batch.entropies, tracker, config.bounds)
     elif config.optimizer == "gbpo":
-        coefs = gbpo_coefficient(log_r)
+        coefs = gbpo_coefficient(ratios)
     else:
-        coefs = grpo_clip_coefficient(log_r, advantages, config.grpo_clip_eps)
+        coefs = grpo_clip_coefficient(ratios, advantages, config.grpo_clip_eps)
     if not np.all(np.isfinite(coefs)):
         raise NumericAbort("non-finite bound coefficient")
 

@@ -10,19 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sagerec import trainer
 from sagerec.bounds import (
     BOUNDARY_CSV_HEADER,
     DEFAULT_ENTROPY_LEVELS,
     BoundConfig,
     EntropyTracker,
-    _gbpo,
-    _sage,
     boundary_curve,
     effective_coefficient,
     entropy_penalty_scale,
     gbpo_coefficient,
+    gbpo_coefficients,
     grpo_clip_coefficient,
     list_entropy,
+    sage_coefficients,
     update_entropy_ema,
     write_boundary_curve,
 )
@@ -285,6 +286,8 @@ def test_boundary_curve_geometry():
 )
 def test_boundary_rows_are_the_training_coefficients(eps_boost, diversity_temp, h, h_avg):
     """Every row equals, bitwise, the scalar coefficient and the batch form training runs."""
+    assert trainer.effective_coefficient is sage_coefficients
+    assert trainer.gbpo_coefficient is gbpo_coefficients
     config = BoundConfig(eps_boost=eps_boost, diversity_temp=diversity_temp)
     levels = {**DEFAULT_ENTROPY_LEVELS, "drawn": (h, h_avg)}
     grid = [k / 20 for k in range(1, 51)]
@@ -298,9 +301,9 @@ def test_boundary_rows_are_the_training_coefficients(eps_boost, diversity_temp, 
             # The batch form sees one entropy per slate, as in training.
             entropies = np.full(len(grid), lh)
             batch = {
-                "gbpo": _gbpo(r),
-                "sage_pos": _sage(r, np.ones(len(grid)), entropies, tracker, cfg),
-                "sage_neg": _sage(r, -np.ones(len(grid)), entropies, tracker, cfg),
+                "gbpo": gbpo_coefficients(r),
+                "sage_pos": sage_coefficients(r, np.ones(len(grid)), entropies, tracker, cfg),
+                "sage_neg": sage_coefficients(r, -np.ones(len(grid)), entropies, tracker, cfg),
             }
             for row in (x for x in rows if x.mode == mode and x.entropy_level == level):
                 i = grid.index(row.r)

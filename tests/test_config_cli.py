@@ -217,6 +217,16 @@ def test_run_config_error_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, "out_dir: x\nseeds: [0]\nnonsense: 1\n")
     assert main(["run", str(path), "--quiet"]) == 1
     assert "nonsense" in capsys.readouterr().err
+    # A train value that would fail mid-run, or silently train the wrong way,
+    # is refused at its section's line before any world is built.
+    out = tmp_path / "out"
+    for setting in ("eval_k: 0", "norm_eps: -1.0", "grpo_clip_eps: 7.0"):
+        path = write_config(tmp_path, f"out_dir: {out}\nseeds: [0]\ntrain:\n  {setting}\n")
+        assert main(["run", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:3: invalid train: ")
+        assert setting.split(":")[0] in err
+        assert not out.exists()
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -243,9 +253,9 @@ def test_numeric_abort_names_its_step(tmp_path, monkeypatch, capsys):
     calls = []
     real = trainer.effective_coefficient
 
-    def poisoned(log_r, *args):
+    def poisoned(ratios, *args):
         calls.append(1)
-        coefs = real(log_r, *args)
+        coefs = real(ratios, *args)
         return coefs * np.inf if len(calls) > bad_step else coefs
 
     monkeypatch.setattr(trainer, "effective_coefficient", poisoned)

@@ -18,7 +18,6 @@ from sagerec.policy import (
     log_prob_grad,
     mean_first_position_mass,
     next_item_distribution,
-    sample_slate,
     save_checkpoint,
     slate_log_prob,
     snapshot,
@@ -132,34 +131,6 @@ def test_slate_log_prob_rejects_bad_slates():
         slate_log_prob(params, 0, (1, 1))
     with pytest.raises(ValueError):
         slate_log_prob(params, 0, (0, 9))
-
-
-def test_sample_slate_basic_contract():
-    params = init_policy(3, 10, 4, seed=2)
-    rng = np.random.default_rng(7)
-    slate = sample_slate(params, 1, 6, rng)
-    assert len(slate) == 6
-    assert len(set(slate.items)) == 6
-    assert all(0 <= i < 10 for i in slate.items)
-    # Stored log-probs must reproduce bitwise under re-scoring.
-    _, per_position = slate_log_prob(params, 1, slate.items)
-    assert np.array_equal(slate.logps, per_position)
-
-
-def test_sample_slate_seeded_reproducibility():
-    params = init_policy(3, 10, 4, seed=2)
-    s1 = sample_slate(params, 0, 5, np.random.default_rng(123))
-    s2 = sample_slate(params, 0, 5, np.random.default_rng(123))
-    assert s1.items == s2.items
-    assert np.array_equal(s1.logps, s2.logps)
-
-
-def test_sample_slate_rejects_impossible_length():
-    params = zero_params(n_items=3)
-    with pytest.raises(ValueError):
-        sample_slate(params, 0, 4, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_slate(params, 0, 0, np.random.default_rng(0))
 
 
 def test_bias_gradient_two_item_oracle():

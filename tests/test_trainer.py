@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import threading
 import time
@@ -26,7 +27,6 @@ from sagerec.bounds import (
 from sagerec.policy import (
     PolicyGradient,
     PolicyParams,
-    Slate,
     SlateScan,
     init_policy,
     log_prob_grad,
@@ -36,7 +36,6 @@ from sagerec.policy import (
     user_scores,
 )
 from sagerec.signals import (
-    TrajectoryGroup,
     batch_normalize,
     decoupled_advantage,
     group_normalize,
@@ -48,6 +47,7 @@ from sagerec.trainer import (
     ExperimentReport,
     NumericAbort,
     OptimizerState,
+    StepBatch,
     StepRecord,
     TrainConfig,
     _batch_advantages,
@@ -115,44 +115,45 @@ def collect_batch_groups(frozen, world, users, config, seed=5):
     ]
 
 
-def reference_advantages(groups, cfg):
+def reference_advantages(batches, cfg):
     per = []
-    for g in groups:
-        if cfg.advantage_mode == "decoupled":
-            z = group_normalize(g.rewards, cfg.norm_eps)
-            per.append(decoupled_advantage(z, cfg.reward_weights))
-        else:
-            per.append(naive_advantage(g.rewards, cfg.reward_weights, cfg.norm_eps))
+    for batch in batches:
+        for rewards in batch.rewards:
+            if cfg.advantage_mode == "decoupled":
+                z = group_normalize(rewards, cfg.norm_eps)
+                per.append(decoupled_advantage(z, cfg.reward_weights))
+            else:
+                per.append(naive_advantage(rewards, cfg.reward_weights, cfg.norm_eps))
     return batch_normalize(np.concatenate(per), cfg.norm_eps)
 
 
-def reference_gradient(groups, params, config, tracker):
+def reference_gradient(batches, params, config, tracker):
     """Slate-by-slate re-derivation of the batch gradient from public pieces."""
     cfg = config.resolve()
     L = cfg.slate_length
-    S = sum(g.size for g in groups)
-    advantages = reference_advantages(groups, cfg)
+    entropies = np.concatenate([b.entropies for b in batches])
+    S = entropies.size
+    advantages = reference_advantages(batches, cfg)
     grad = PolicyGradient.zeros_like(params)
     idx = 0
-    for g in groups:
-        for pos, slate in enumerate(g.slates):
-            _, new_pp = slate_log_prob(params, g.user_id, slate.items)
-            r = sequence_ratio(new_pp, slate.logps)
-            a = float(advantages[idx])
-            if cfg.optimizer == "sage":
-                coef = effective_coefficient(
-                    r, a, float(g.entropies[pos]), tracker, cfg.bounds
-                )
-            elif cfg.optimizer == "gbpo":
-                coef = gbpo_coefficient(r)
-            else:
-                coef = grpo_clip_coefficient(r, a, cfg.grpo_clip_eps)
-            lg = log_prob_grad(params, g.user_id, slate.items)
-            scale = coef * a / (L * S)
-            grad.item_bias += scale * lg.item_bias
-            grad.item_embeddings += scale * lg.item_embeddings
-            grad.user_embeddings += scale * lg.user_embeddings
-            idx += 1
+    for batch in batches:
+        for user, user_items, user_logps in zip(batch.users, batch.items, batch.logps):
+            for items, old_logps in zip(user_items, user_logps):
+                _, new_pp = slate_log_prob(params, int(user), items)
+                r = sequence_ratio(new_pp, old_logps)
+                a = float(advantages[idx])
+                if cfg.optimizer == "sage":
+                    coef = effective_coefficient(r, a, float(entropies[idx]), tracker, cfg.bounds)
+                elif cfg.optimizer == "gbpo":
+                    coef = gbpo_coefficient(r)
+                else:
+                    coef = grpo_clip_coefficient(r, a, cfg.grpo_clip_eps)
+                lg = log_prob_grad(params, int(user), items)
+                scale = coef * a / (L * S)
+                grad.item_bias += scale * lg.item_bias
+                grad.item_embeddings += scale * lg.item_embeddings
+                grad.user_embeddings += scale * lg.user_embeddings
+                idx += 1
     return grad
 
 
@@ -177,6 +178,14 @@ def test_train_config_validation():
         small_config(reward_weights=(0.5, -0.1))
     with pytest.raises(ValueError):
         small_config(updates_per_snapshot=0)
+    with pytest.raises(ValueError, match="eval_k"):
+        small_config(eval_k=0)
+    with pytest.raises(ValueError, match="norm_eps"):
+        small_config(norm_eps=-1.0)
+    for clip_eps in (0.0, 1.0, 7.0, -0.2):
+        with pytest.raises(ValueError, match="grpo_clip_eps"):
+            small_config(grpo_clip_eps=clip_eps)
+    small_config(eval_k=1, norm_eps=0.0, grpo_clip_eps=0.5)
 
 
 def test_resolve_ablation_aliases():
@@ -198,17 +207,19 @@ def test_collect_group_contract(world):
     frozen = snapshot(params)
     rng = np.random.default_rng(2)
     group = collect_group(frozen, world, user=3, group_size=4, slate_length=3, rng=rng)
-    assert group.size == 4
-    assert group.rewards.shape == (4, 2)
+    # The caller may move the parameters, so no scan of the snapshot is kept.
+    assert group.scan is None
+    assert group.users.tolist() == [3]
+    assert group.items.shape == group.logps.shape == (1, 4, 3)
+    assert group.rewards.shape == (1, 4, 2)
     assert np.all(np.isfinite(group.rewards))
     assert np.all(group.rewards >= 0)
     assert group.entropies.shape == (4,)
-    for slate in group.slates:
-        assert slate.user_id == 3
-        assert len(set(slate.items)) == 3
+    for items, logps in zip(group.items[0], group.logps[0]):
+        assert len(set(items.tolist())) == 3
         # Collected log-probs must be exactly what rescoring them gives.
-        _, per_position = slate_log_prob(params, 3, slate.items)
-        assert np.array_equal(slate.logps, per_position)
+        _, per_position = slate_log_prob(params, 3, items)
+        assert np.array_equal(logps, per_position)
 
 
 def test_collect_group_deterministic(world):
@@ -219,7 +230,8 @@ def test_collect_group_deterministic(world):
     b = collect_group(
         frozen, world, 1, 4, 3, np.random.default_rng(9)
     )
-    assert [s.items for s in a.slates] == [s.items for s in b.slates]
+    assert np.array_equal(a.items, b.items)
+    assert np.array_equal(a.logps, b.logps)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.entropies, b.entropies)
 
@@ -256,21 +268,18 @@ def test_compute_gradient_matches_reference_off_policy(world):
         assert result.ratio_max > result.ratio_min
 
 
-def batch_groups(batch):
-    """The list-of-groups view of a collected batch, built slate by slate."""
-    B, G, _ = batch.items.shape
-    entropies = batch.entropies.reshape(B, G)
+def user_batches(batch):
+    """The batch as a list of copied one-user batches, as ``collect_group`` returns them."""
+    G = batch.items.shape[1]
     return [
-        TrajectoryGroup(
-            user_id=int(u),
-            slates=[
-                Slate(int(u), tuple(int(i) for i in batch.items[b, g]), batch.logps[b, g].copy())
-                for g in range(G)
-            ],
-            rewards=batch.rewards[b].copy(),
-            entropies=entropies[b].copy(),
+        StepBatch(
+            users=batch.users[b : b + 1].copy(),
+            items=batch.items[b : b + 1].copy(),
+            logps=batch.logps[b : b + 1].copy(),
+            rewards=batch.rewards[b : b + 1].copy(),
+            entropies=batch.entropies[b * G : (b + 1) * G].copy(),
         )
-        for b, u in enumerate(batch.users)
+        for b in range(len(batch.users))
     ]
 
 
@@ -357,7 +366,7 @@ def test_collected_entropies_on_a_wide_catalog_within_one_ulp():
 def test_batch_path_equals_group_adapter(
     n_users, group_size, slate_length, seed, optimizer, updates, update_rule, constant_rewards
 ):
-    """Every pass of a step gives the same bits through the batch and through a list of groups."""
+    """Every pass of a step gives the same bits through the batch and through a list of one-user batches."""
     world = tiny_world()
     config = small_config(
         optimizer=optimizer,
@@ -375,7 +384,7 @@ def test_batch_path_equals_group_adapter(
     batch = _collect_batch(frozen, world, users, group_size, slate_length, rng)
     if constant_rewards:
         batch.rewards[:] = 1.0
-    groups = batch_groups(batch)
+    groups = user_batches(batch)
     advantages = _batch_advantages(batch.rewards, config.resolve())
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.0)
     state = OptimizerState()
@@ -417,6 +426,91 @@ def test_on_policy_optimizers_agree(world):
     assert results["sage"].coef_neg_mean == 1.0
 
 
+def hand_params():
+    """One user, four items, d = 2; item 3 starts far behind (a cold item)."""
+    return PolicyParams(
+        user_embeddings=np.array([[0.6, -0.4]]),
+        item_embeddings=np.array([[0.5, 0.1], [0.3, -0.2], [-0.1, 0.4], [0.2, 0.3]]),
+        item_bias=np.array([0.4, 0.2, 0.0, -1.0]),
+    )
+
+
+def hand_batch(slates, log_ratios, entropies):
+    """User 0's slates, with snapshot log-probs ``log_ratios`` below ``hand_params``'."""
+    params = hand_params()
+    logps = [slate_log_prob(params, 0, s)[1] - lr for s, lr in zip(slates, log_ratios)]
+    return StepBatch(
+        users=np.array([0]),
+        items=np.array([slates]),
+        logps=np.array([logps]),
+        rewards=np.zeros((1, len(slates), 2)),
+        entropies=np.array(entropies, dtype=np.float64),
+    )
+
+
+def one_step(batch, optimizer, tracker, advantages):
+    """The gradient of one pass from ``hand_params`` and the parameters after its SGD step."""
+    config = small_config(
+        optimizer=optimizer, group_size=2, slate_length=2, learning_rate=0.1, embedding_dim=2
+    )
+    params = hand_params()
+    result = compute_gradient(batch, params, snapshot(params), config, tracker, advantages)
+    return result, apply_update(params, result.gradient, OptimizerState(), config)
+
+
+def assert_one_slate_apart(sage, gbpo, coefficient, items, advantage):
+    """sage = gbpo + (coefficient - 1) * slate 0's own term A / (L S) * grad log pi."""
+    term = log_prob_grad(hand_params(), 0, items)
+    extra = (coefficient - 1.0) * advantage / (2 * 2)  # L = 2 items, S = 2 slates
+    for name in ("item_bias", "item_embeddings", "user_embeddings"):
+        assert np.any(getattr(term, name))
+        expected = getattr(gbpo, name) + extra * getattr(term, name)
+        assert np.allclose(getattr(sage, name), expected, rtol=1e-12, atol=1e-15), name
+        assert not np.allclose(getattr(sage, name), getattr(gbpo, name), rtol=1e-6, atol=0.0)
+
+
+def test_boost_lifts_a_winning_cold_item_beyond_gbpo():
+    """A positive slate holding the cold item at r = 1.2 gets coefficient 1.2
+    under the boost and 1 under GBPO's cap, so its first-position mass rises more."""
+    items = (3, 0)
+    batch = hand_batch([items, (1, 2)], [math.log(1.2), 0.0], [0.0, 0.0])
+    advantages = np.array([1.0, -1.0])
+    cold = np.array([3])
+    before = mean_first_position_mass(hand_params(), cold)
+    sage, sage_params = one_step(batch, "sage-no-entropy", EntropyTracker(), advantages)
+    gbpo, gbpo_params = one_step(batch, "gbpo", EntropyTracker(), advantages)
+    assert sage.ratio_max == pytest.approx(1.2) and sage.ratio_min == 1.0
+    assert sage.coef_pos_mean == pytest.approx(1.2) and gbpo.coef_pos_mean == 1.0
+    assert sage.coef_neg_mean == gbpo.coef_neg_mean == 1.0
+    assert_one_slate_apart(sage.gradient, gbpo.gradient, 1.2, items, 1.0)
+    sage_rise = mean_first_position_mass(sage_params, cold) - before
+    gbpo_rise = mean_first_position_mass(gbpo_params, cold) - before
+    assert sage_rise > gbpo_rise > 0.0
+
+
+def test_penalty_pushes_a_homogeneous_loser_down_beyond_gbpo():
+    """A negative one-category slate, against a tracker mean of ln 2, gets
+    coefficient 1 + 0.5 tanh(ln 2) = 1.3 at r = 1, and GBPO gives it 1."""
+    categories = np.array([0, 0, 1, 1])
+    items = (0, 1)
+    slates = [items, (2, 0)]
+    entropies = [list_entropy(s, categories) for s in slates]
+    assert entropies == [0.0, math.log(2)]
+    batch = hand_batch(slates, [0.0, 0.0], entropies)
+    advantages = np.array([-1.0, 1.0])
+    tracker = EntropyTracker(mean=math.log(2))
+    before, _ = slate_log_prob(hand_params(), 0, items)
+    sage, sage_params = one_step(batch, "sage-no-boost", tracker, advantages)
+    gbpo, gbpo_params = one_step(batch, "gbpo", tracker, advantages)
+    assert sage.ratio_min == sage.ratio_max == 1.0
+    assert sage.coef_neg_mean == pytest.approx(1.3) and gbpo.coef_neg_mean == 1.0
+    assert sage.coef_pos_mean == gbpo.coef_pos_mean == 1.0
+    assert_one_slate_apart(sage.gradient, gbpo.gradient, 1.3, items, -1.0)
+    sage_fall = before - slate_log_prob(sage_params, 0, items)[0]
+    gbpo_fall = before - slate_log_prob(gbpo_params, 0, items)[0]
+    assert sage_fall > gbpo_fall > 0.0
+
+
 def test_constant_rewards_give_zero_gradient(world):
     config = small_config()
     params = make_params(world)
@@ -435,10 +529,7 @@ def test_compute_gradient_rejects_corrupt_logps(world):
     params = make_params(world)
     frozen = snapshot(params)
     groups = collect_batch_groups(frozen, world, [0, 1], config)
-    bad = groups[0].slates[1]
-    groups[0].slates[1] = Slate(
-        user_id=bad.user_id, items=bad.items, logps=np.full(3, -1e3)
-    )
+    groups[0].logps[0, 1] = -1e3
     with pytest.raises(NumericAbort, match="non-finite sequence ratio"):
         compute_gradient(groups, params, frozen, config, EntropyTracker(decay=0.99))
 
@@ -450,7 +541,7 @@ def test_underflowed_ratios_give_finite_gradients(world):
     frozen = snapshot(params)
     groups = collect_batch_groups(frozen, world, [0, 1, 2], config)
     for g in groups:
-        g.slates = [replace(s, logps=s.logps + 800.0) for s in g.slates]
+        g.logps += 800.0
     for optimizer in ("sage", "gbpo", "grpo"):
         cfg = replace(config, optimizer=optimizer)
         result = compute_gradient(groups, params, frozen, cfg, EntropyTracker(decay=0.99))
@@ -465,10 +556,6 @@ def test_compute_gradient_validates_batch(world):
     frozen = snapshot(params)
     with pytest.raises(ValueError):
         compute_gradient([], params, frozen, config, EntropyTracker(decay=0.99))
-    groups = collect_batch_groups(frozen, world, [0], config)
-    short = [replace(groups[0], entropies=None)]
-    with pytest.raises(ValueError, match="entropies"):
-        compute_gradient(short, params, frozen, config, EntropyTracker(decay=0.99))
 
 
 def test_apply_update_sgd_oracle(world):
