@@ -127,7 +127,7 @@ def list_entropy(slate_items, categories, base: float | None = None) -> float:
     h = float(count_entropy(counts))
     if base is not None:
         h /= math.log(base)
-    return max(h, 0.0)
+    return max(0.0, h)  # max keeps the first of equal zeros, so never -0.0
 
 
 def count_entropy(counts) -> np.ndarray:

@@ -27,7 +27,7 @@ from .metrics import (
     load_rankings,
 )
 from .policy import save_checkpoint
-from .simenv import World, build_world, item_vectors, load_catalog
+from .simenv import build_world, item_vectors, load_catalog
 from .trainer import NumericAbort, evaluate_policy, train
 
 EXIT_OK = 0
@@ -59,125 +59,108 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _train_and_eval(
-    config: ExperimentConfig, seed: int, world: World, out_dir: Path, variant: str | None
-) -> dict:
-    try:
-        result = train(config.train_for_seed(seed), world)
-    except NumericAbort as abort:
-        abort.seed, abort.variant = seed, variant
-        raise
-    metrics = evaluate_policy(
-        result.params, world, config.metrics.k, entropy_base=config.metrics.entropy_base
+def _aggregate(per_seed: dict[int, dict], metric: str) -> tuple[float | None, float | None]:
+    """Cross-seed mean and population std of a metric's non-null values."""
+    values = np.asarray(
+        [m[metric] for m in per_seed.values() if m[metric] is not None], dtype=float
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result.report.save_jsonl(out_dir / "report.jsonl")
-    _write_json(out_dir / "metrics.json", metrics)
-    save_checkpoint(result.params, out_dir / "checkpoint.json")
-    return metrics
+    if not values.size:
+        return None, None
+    return float(values.mean()), float(values.std())
 
 
-def _write_error_manifest(out: Path, command: str, abort: NumericAbort) -> None:
-    manifest = {
-        "schema_version": ERROR_MANIFEST_SCHEMA_VERSION,
-        "kind": "error_manifest",
-        "command": command,
-        "seed": abort.seed,
-        "variant": abort.variant,
-        "step": abort.step,
-        "message": str(abort),
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "error.json", manifest)
+def _sweep(
+    config: ExperimentConfig,
+    command: str,
+    runs: list[tuple[str | None, str, Path]],
+    quiet: bool,
+) -> dict[str | None, dict[int, dict]] | None:
+    """Train, evaluate and write every (variant, seed) pair, variant by variant.
 
-
-def _write_summary(path: Path, per_seed: dict[int, dict]) -> None:
-    """One row per (metric, seed) plus an aggregate mean/std row per metric."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("metric", "seed", "value", "std"))
-        for metric in SUMMARY_METRICS:
-            values = []
-            for seed, metrics in per_seed.items():
-                value = metrics[metric]
-                writer.writerow((metric, seed, _fmt(value), ""))
-                if value is not None:
-                    values.append(float(value))
-            if values:
-                arr = np.asarray(values)
-                writer.writerow((metric, "aggregate", _fmt(arr.mean()), _fmt(arr.std())))
-            else:
-                writer.writerow((metric, "aggregate", "", ""))
-
-
-def cmd_run(config: ExperimentConfig, quiet: bool) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    per_seed: dict[int, dict] = {}
-    try:
-        for seed in config.seeds:
-            _say(
-                quiet,
-                f"seed {seed}: {config.train.optimizer}, "
-                f"{config.train.total_steps} steps",
-            )
-            world = build_world(config.world, seed=seed)
-            per_seed[seed] = _train_and_eval(
-                config, seed, world, out / f"seed_{seed}", variant=None
-            )
-    except NumericAbort as abort:
-        _write_error_manifest(out, "run", abort)
-        print(f"numeric abort at seed {abort.seed} step {abort.step}: {abort}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _write_summary(out / "summary.csv", per_seed)
-    _say(quiet, f"wrote {len(per_seed)} seed directories and summary.csv to {out}")
-    return EXIT_OK
-
-
-def _mean_metrics(per_seed: dict[int, dict]) -> dict[str, float | None]:
-    means: dict[str, float | None] = {}
-    for metric in SUMMARY_METRICS:
-        values = [m[metric] for m in per_seed.values() if m[metric] is not None]
-        means[metric] = float(np.mean(values)) if values else None
-    return means
-
-
-def cmd_ablate(config: ExperimentConfig, quiet: bool) -> int:
+    ``runs`` lists each variant's name, optimizer and output directory. Returns
+    each variant's metrics per seed, or None after a numeric abort, which is
+    reported on stderr and in ``error.json``.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Variants must see identical worlds, so worlds are built once per seed.
     worlds = {seed: build_world(config.world, seed=seed) for seed in config.seeds}
-    means: dict[str, dict[str, float | None]] = {}
-    try:
-        for variant, optimizer in ABLATION_VARIANTS:
-            per_seed: dict[int, dict] = {}
-            for seed in config.seeds:
-                _say(quiet, f"{variant}: seed {seed} ({optimizer})")
-                variant_config = replace(config, train=replace(config.train, optimizer=optimizer))
-                per_seed[seed] = _train_and_eval(
-                    variant_config,
-                    seed,
-                    worlds[seed],
-                    out / "ablation" / variant / f"seed_{seed}",
-                    variant=variant,
+    results: dict[str | None, dict[int, dict]] = {}
+    for variant, optimizer, variant_dir in runs:
+        label = f" ({variant})" if variant else ""
+        results[variant] = {}
+        for seed in config.seeds:
+            _say(quiet, f"seed {seed}{label}: {optimizer}, {config.train.total_steps} steps")
+            try:
+                result = train(
+                    replace(config.train, optimizer=optimizer, seed=seed), worlds[seed]
                 )
-            means[variant] = _mean_metrics(per_seed)
-    except NumericAbort as abort:
-        _write_error_manifest(out, "ablate", abort)
-        print(
-            f"numeric abort in {abort.variant} seed {abort.seed} step {abort.step}: {abort}",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
+            except NumericAbort as abort:
+                abort.seed, abort.variant = seed, variant
+                manifest = {
+                    "schema_version": ERROR_MANIFEST_SCHEMA_VERSION,
+                    "kind": "error_manifest",
+                    "command": command,
+                    "seed": abort.seed,
+                    "variant": abort.variant,
+                    "step": abort.step,
+                    "message": str(abort),
+                }
+                _write_json(out / "error.json", manifest)
+                print(
+                    f"numeric abort at seed {seed} step {abort.step}{label}: {abort}",
+                    file=sys.stderr,
+                )
+                return None
+            metrics = evaluate_policy(
+                result.params,
+                worlds[seed],
+                config.metrics.k,
+                entropy_base=config.metrics.entropy_base,
+            )
+            seed_dir = variant_dir / f"seed_{seed}"
+            seed_dir.mkdir(parents=True, exist_ok=True)
+            result.report.save_jsonl(seed_dir / "report.jsonl")
+            _write_json(seed_dir / "metrics.json", metrics)
+            save_checkpoint(result.params, seed_dir / "checkpoint.json")
+            results[variant][seed] = metrics
+    return results
 
-    full = means["full"]
+
+def cmd_run(config: ExperimentConfig, quiet: bool) -> int:
+    out = Path(config.out_dir)
+    results = _sweep(config, "run", [(None, config.train.optimizer, out)], quiet)
+    if results is None:
+        return EXIT_NUMERIC
+    per_seed = results[None]
+    # One row per (metric, seed) plus an aggregate mean/std row per metric.
+    with open(out / "summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("metric", "seed", "value", "std"))
+        for metric in SUMMARY_METRICS:
+            for seed, metrics in per_seed.items():
+                writer.writerow((metric, seed, _fmt(metrics[metric]), ""))
+            mean, std = _aggregate(per_seed, metric)
+            writer.writerow((metric, "aggregate", _fmt(mean), _fmt(std)))
+    _say(quiet, f"wrote {len(per_seed)} seed directories and summary.csv to {out}")
+    return EXIT_OK
+
+
+def cmd_ablate(config: ExperimentConfig, quiet: bool) -> int:
+    out = Path(config.out_dir)
+    runs = [
+        (variant, optimizer, out / "ablation" / variant) for variant, optimizer in ABLATION_VARIANTS
+    ]
+    results = _sweep(config, "ablate", runs, quiet)
+    if results is None:
+        return EXIT_NUMERIC
     with open(out / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("variant", "metric", "value", "normalized"))
-        for variant, _ in ABLATION_VARIANTS:
+        for variant, per_seed in results.items():
             for metric in SUMMARY_METRICS:
-                value = means[variant][metric]
-                base = full[metric]
+                value, _ = _aggregate(per_seed, metric)
+                base, _ = _aggregate(results["full"], metric)
                 if value is None or base is None or base == 0.0:
                     normalized = None
                 else:

@@ -3,20 +3,23 @@
 One file describes a whole experiment: the synthetic world, the training run,
 the gradient bounds, the evaluation metrics, the output directory and the seed
 list. YAML is the primary format; JSON files (by extension) are accepted too.
-Unknown keys are errors with file and line, not warnings: sweep correctness
-depends on configs meaning exactly what they say.
+Each section is read by walking its config dataclass: the fields are the
+allowed keys and their annotations the value types. Unknown keys and values
+of the wrong type are errors with file and line, not warnings: sweep
+correctness depends on configs meaning exactly what they say.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .bounds import BoundConfig
-from .simenv import FeedbackConfig, WorldConfig
+from .simenv import WorldConfig
 from .trainer import TrainConfig
 
 
@@ -68,16 +71,12 @@ class ExperimentConfig:
             if k > self.world.n_items:
                 raise ValueError(f"{name} ({k}) exceeds world.n_items")
 
-    def train_for_seed(self, seed: int) -> TrainConfig:
-        return replace(self.train, seed=int(seed))
 
-
-_TOP_KEYS = {"out_dir", "seeds", "world", "train", "bounds", "metrics"}
-_WORLD_KEYS = {f.name for f in fields(WorldConfig)}
-_FEEDBACK_KEYS = {f.name for f in fields(FeedbackConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"bounds", "seed"}
-_BOUND_KEYS = {f.name for f in fields(BoundConfig)}
-_METRIC_KEYS = {f.name for f in fields(MetricConfig)}
+# The file sets these TrainConfig fields elsewhere: each run's seed comes from
+# the top-level ``seeds`` and the bounds from the top-level ``bounds`` section.
+_SET_ELSEWHERE = {TrainConfig: {"seed", "bounds"}}
+_TOP_LEVEL = {**get_type_hints(ExperimentConfig), "bounds": BoundConfig}
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _parse(text: str, where: str):
@@ -120,56 +119,83 @@ def _locate(where: str, lines: dict, path: tuple[str, ...]) -> str:
     return f"{where}:{line}" if line is not None else where
 
 
-def _check_keys(
-    section: dict,
-    allowed: set[str],
-    prefix: tuple[str, ...],
-    lines: dict,
-    where: str,
-) -> None:
-    for key in section:
-        if not isinstance(key, str) or key not in allowed:
-            path = prefix + (str(key),)
-            raise ConfigError(
-                f"{_locate(where, lines, path)}: unknown config key "
-                f"{'.'.join(path)!r} (allowed: {', '.join(sorted(allowed))})"
-            )
+def _is(value, kind) -> bool:
+    """Whether ``value`` may stand for ``kind``; an int may stand for a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _section(data: dict, name: str, lines: dict, where: str) -> dict:
-    raw = data.get(name)
-    if raw is None:
-        return {}
+def _value(value, hint, path: tuple[str, ...], lines: dict, where: str):
+    """``value`` checked against its annotation ``hint``.
+
+    A dataclass annotation is a nested section; ``tuple[X, ...]`` is written
+    as a list. Other values pass on unchanged.
+    """
+    if is_dataclass(hint):
+        return _build(hint, value, path, lines, where)
+    args = get_args(hint)
+    if value is None and type(None) in args:
+        return None
+    if get_origin(hint) is tuple:
+        if isinstance(value, list) and all(_is(v, args[0]) for v in value):
+            return tuple(value)
+        expected = f"a list, each entry {_KINDS[args[0]]}"
+    else:
+        (kind,) = [a for a in args if a is not type(None)] or [hint]
+        if _is(value, kind):
+            return value
+        expected = _KINDS[kind]
+    raise ConfigError(
+        f"{_locate(where, lines, path)}: {'.'.join(path)} must be {expected}, "
+        f"got {value!r}"
+    )
+
+
+def _values(raw, hints: dict, path: tuple[str, ...], lines: dict, where: str) -> dict:
+    """The keys of the mapping ``raw`` at ``path``, each checked against ``hints``."""
     if not isinstance(raw, dict):
         raise ConfigError(
-            f"{_locate(where, lines, (name,))}: section {name!r} must be a mapping"
+            f"{_locate(where, lines, path)}: section {'.'.join(path)!r} must be a mapping"
         )
-    return dict(raw)
+    values = {}
+    for key, value in raw.items():
+        if not isinstance(key, str) or key not in hints:
+            key_path = path + (str(key),)
+            raise ConfigError(
+                f"{_locate(where, lines, key_path)}: unknown config key "
+                f"{'.'.join(key_path)!r} (allowed: {', '.join(sorted(hints))})"
+            )
+        values[key] = _value(value, hints[key], path + (key,), lines, where)
+    return values
 
 
-def _build(cls, kwargs: dict, prefix: tuple[str, ...], lines: dict, where: str):
+def _build(cls, raw, path: tuple[str, ...], lines: dict, where: str):
+    """The dataclass ``cls`` from the section at ``path``; an absent section is all defaults."""
+    hints = get_type_hints(cls)
+    keys = {f.name for f in fields(cls)} - _SET_ELSEWHERE.get(cls, set())
+    values = _values({} if raw is None else raw, {k: hints[k] for k in keys}, path, lines, where)
+    return _construct(cls, values, path, lines, where)
+
+
+def _refusal(cls, key: str, value) -> str | None:
     try:
-        return cls(**kwargs)
+        cls(**{key: value})
     except (TypeError, ValueError) as exc:
-        label = ".".join(prefix) if prefix else "config"
-        raise ConfigError(
-            f"{_locate(where, lines, prefix)}: invalid {label}: {exc}"
-        ) from exc
+        return str(exc)
+    return None
 
 
-def _parse_seeds(data: dict, lines: dict, where: str) -> tuple[int, ...]:
-    raw = data.get("seeds")
-    if raw is None:
-        raise ConfigError(f"{where}: missing required key 'seeds'")
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        raw = [raw]
-    if not isinstance(raw, list) or any(
-        not isinstance(s, int) or isinstance(s, bool) for s in raw
-    ):
-        raise ConfigError(
-            f"{_locate(where, lines, ('seeds',))}: seeds must be an integer list"
-        )
-    return tuple(int(s) for s in raw)
+def _construct(cls, values: dict, path: tuple[str, ...], lines: dict, where: str):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # Each field check of the section dataclasses reads one field, so the
+        # key refused on its own with the same error is the one to point at.
+        key = next((k for k, v in values.items() if _refusal(cls, k, v) == str(exc)), None)
+        at = path if key is None else path + (key,)
+        label = ".".join(path) or "config"
+        raise ConfigError(f"{_locate(where, lines, at)}: invalid {label}: {exc}") from exc
 
 
 def load_experiment_config(
@@ -192,59 +218,17 @@ def load_experiment_config(
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be a mapping")
-    _check_keys(data, _TOP_KEYS, (), lines, where)
-
-    world_raw = _section(data, "world", lines, where)
-    _check_keys(world_raw, _WORLD_KEYS, ("world",), lines, where)
-    feedback_raw = world_raw.pop("feedback", None)
-    if feedback_raw is not None:
-        if not isinstance(feedback_raw, dict):
-            raise ConfigError(
-                f"{_locate(where, lines, ('world', 'feedback'))}: "
-                "section world.feedback must be a mapping"
-            )
-        _check_keys(feedback_raw, _FEEDBACK_KEYS, ("world", "feedback"), lines, where)
-        world_raw["feedback"] = _build(
-            FeedbackConfig, dict(feedback_raw), ("world", "feedback"), lines, where
-        )
-    world = _build(WorldConfig, world_raw, ("world",), lines, where)
-
-    bounds_raw = _section(data, "bounds", lines, where)
-    _check_keys(bounds_raw, _BOUND_KEYS, ("bounds",), lines, where)
-    bounds = _build(BoundConfig, bounds_raw, ("bounds",), lines, where)
-
-    train_raw = _section(data, "train", lines, where)
-    _check_keys(train_raw, _TRAIN_KEYS, ("train",), lines, where)
-    if "reward_weights" in train_raw:
-        weights = train_raw["reward_weights"]
-        if not isinstance(weights, (list, tuple)):
-            raise ConfigError(
-                f"{_locate(where, lines, ('train', 'reward_weights'))}: "
-                "train.reward_weights must be a list"
-            )
-        train_raw["reward_weights"] = tuple(float(w) for w in weights)
-    train_raw["bounds"] = bounds
-    train = _build(TrainConfig, train_raw, ("train",), lines, where)
-
-    metrics_raw = _section(data, "metrics", lines, where)
-    _check_keys(metrics_raw, _METRIC_KEYS, ("metrics",), lines, where)
-    metrics = _build(MetricConfig, metrics_raw, ("metrics",), lines, where)
-
-    out_dir = out_override if out_override is not None else data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{_locate(where, lines, ('out_dir',))}: out_dir must be a string")
-    if not out_dir:
+    if out_override is not None:
+        data["out_dir"] = out_override
+    if seed_override is not None:
+        data["seeds"] = seed_override
+    if not data.get("out_dir"):
         raise ConfigError(f"{where}: no output directory (set out_dir or pass --out)")
-
-    seeds = (
-        (int(seed_override),)
-        if seed_override is not None
-        else _parse_seeds(data, lines, where)
-    )
-    return _build(
-        ExperimentConfig,
-        dict(out_dir=out_dir, seeds=seeds, world=world, train=train, metrics=metrics),
-        (),
-        lines,
-        where,
-    )
+    if data.get("seeds") is None:
+        raise ConfigError(f"{where}: missing required key 'seeds'")
+    if _is(data["seeds"], int):
+        data["seeds"] = [data["seeds"]]
+    values = _values(data, _TOP_LEVEL, (), lines, where)
+    train = values.get("train", TrainConfig())
+    values["train"] = replace(train, bounds=values.pop("bounds", train.bounds))
+    return _construct(ExperimentConfig, values, (), lines, where)

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sagerec import trainer
+from sagerec.bounds import BoundConfig
 from sagerec.cli import main
-from sagerec.config import ConfigError, load_experiment_config
-from sagerec.simenv import generate_catalog, save_catalog
+from sagerec.config import ConfigError, MetricConfig, load_experiment_config
+from sagerec.simenv import WorldConfig, generate_catalog, save_catalog
 
 MINIMAL = """\
 out_dir: {out}
@@ -103,6 +106,15 @@ def test_json_config_accepted(tmp_path):
     path.write_text(json.dumps(payload))
     config = load_experiment_config(path)
     assert config.train.group_size == 4
+
+
+def test_readme_config_example_loads_with_the_defaults_it_shows(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"### Experiment config.*?```yaml\n(.*?)```", readme, re.S)
+    config = load_experiment_config(write_config(tmp_path, example))
+    assert config.world == WorldConfig()
+    assert config.train.bounds == BoundConfig()
+    assert config.metrics == MetricConfig()
 
 
 def test_unknown_top_level_key_has_line(tmp_path):
@@ -218,15 +230,42 @@ def test_run_config_error_exits_1(tmp_path, capsys):
     assert main(["run", str(path), "--quiet"]) == 1
     assert "nonsense" in capsys.readouterr().err
     # A train value that would fail mid-run, or silently train the wrong way,
-    # is refused at its section's line before any world is built.
+    # is refused at its key's line before any world is built.
     out = tmp_path / "out"
     for setting in ("eval_k: 0", "norm_eps: -1.0", "grpo_clip_eps: 7.0"):
         path = write_config(tmp_path, f"out_dir: {out}\nseeds: [0]\ntrain:\n  {setting}\n")
         assert main(["run", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}:3: invalid train: ")
+        assert err.startswith(f"config error: {path}:4: invalid train: ")
         assert setting.split(":")[0] in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, setting",
+    [
+        ("train", "total_steps: 2.5"),
+        ("train", "group_size: 4.0"),
+        ("train", "users_per_step: 2.0"),
+        ("train", "embedding_dim: 6.5"),
+        ("train", "checkpoint_every: true"),
+        ("train", "learning_rate: 1e-3"),  # a string in YAML 1.1
+        ("train", "optimizer: 5"),
+        ("train", "reward_weights: [0.5, high]"),
+        ("train", "reward_weights: 0.5"),
+        ("world", "n_relevant: 5.0"),
+        ("bounds", "eps_boost: false"),
+        ("metrics", "entropy_base: two"),
+    ],
+)
+def test_mistyped_value_exits_1_at_its_key(tmp_path, capsys, section, setting):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"out_dir: {out}\nseeds: [0]\n{section}:\n  {setting}\n")
+    assert main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    key = setting.split(":")[0]
+    assert err.startswith(f"config error: {path}:4: {section}.{key} must be ")
+    assert not out.exists()
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -265,6 +304,46 @@ def test_numeric_abort_names_its_step(tmp_path, monkeypatch, capsys):
     assert (manifest["seed"], manifest["variant"], manifest["step"]) == (0, None, bad_step)
     assert manifest["message"] == "non-finite bound coefficient"
     assert "numeric abort" in capsys.readouterr().err
+
+
+def test_ablate_numeric_abort_names_its_variant(tmp_path, monkeypatch, capsys):
+    """An abort in one variant stops the sweep with that variant, seed and step in error.json."""
+    bad_seed, bad_step, steps = 1, 2, 4
+    calls = []
+    real = trainer.effective_coefficient
+
+    def poisoned(ratios, advantages, entropies, tracker, bounds):
+        coefs = real(ratios, advantages, entropies, tracker, bounds)
+        if bounds.diversity_temp != 0.0:  # only no_entropy switches the penalty off
+            return coefs
+        calls.append(1)  # one call per step: one update per snapshot
+        return coefs * np.inf if len(calls) > bad_seed * steps + bad_step else coefs
+
+    monkeypatch.setattr(trainer, "effective_coefficient", poisoned)
+    out = tmp_path / "out"
+    assert main(["ablate", str(tiny_config(tmp_path)), "--quiet"]) == 2
+    manifest = json.loads((out / "error.json").read_text())
+    assert (manifest["command"], manifest["variant"]) == ("ablate", "no_entropy")
+    assert (manifest["seed"], manifest["step"]) == (bad_seed, bad_step)
+    assert manifest["message"] == "non-finite bound coefficient"
+    err = capsys.readouterr().err
+    assert err == "numeric abort at seed 1 step 2 (no_entropy): non-finite bound coefficient\n"
+    # Variants run one after another, so the two before no_entropy finished.
+    for variant in ("full", "no_boost"):
+        assert (out / "ablation" / variant / "seed_1" / "checkpoint.json").exists()
+    assert not (out / "ablation" / "no_entropy" / "seed_1").exists()
+    assert not (out / "ablation.csv").exists()
+
+
+def test_run_artifacts_equal_ablate_full_variant(tmp_path):
+    config = tiny_config(tmp_path)
+    assert main(["run", str(config), "--quiet", "--out", str(tmp_path / "run")]) == 0
+    assert main(["ablate", str(config), "--quiet", "--out", str(tmp_path / "ablate")]) == 0
+    for seed in (0, 1):
+        for artifact in ("report.jsonl", "metrics.json", "checkpoint.json"):
+            run = tmp_path / "run" / f"seed_{seed}" / artifact
+            full = tmp_path / "ablate" / "ablation" / "full" / f"seed_{seed}" / artifact
+            assert run.read_bytes() == full.read_bytes()
 
 
 def test_run_grpo_survives_underflowed_ratios(tmp_path):

@@ -90,6 +90,14 @@ def test_entropy_at_k_oracles():
     )
 
 
+@pytest.mark.parametrize("base", [None, 2.0])
+def test_entropy_at_k_of_one_category_is_positive_zero(base):
+    """A one-category pool has entropy +0.0, so metrics.json never holds -0.0."""
+    categories = np.array([0, 0, 1, 1])
+    value = entropy_at_k([rec([0, 1], {0})], categories, 2, base=base)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_entropy_at_k_pools_rather_than_averages():
     categories = np.array([0, 0, 1, 1])
     # Each user's list is pure, so a per-user average would be 0; the pooled
