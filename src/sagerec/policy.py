@@ -4,9 +4,10 @@ The policy scores item i for user u as ``user_emb(u) . item_emb(i) + item_bias(i
 and generates a slate by repeated softmax draws over the items not already
 picked (no-repeat masking): a Plackett–Luce distribution. One array kernel,
 ``gumbel_top_k`` to sample and ``SlateScan`` to score, serves both the
-training batches and the one-slate functions. Everything is exact 64-bit
-numpy: log-probabilities and their analytic gradients are available in closed
-form, which is what the optimizers build on.
+training batches and the one-slate functions; ``score_blocks`` scores all
+users block by block for the cold-mass probe and the rankings. Everything is
+exact 64-bit numpy: log-probabilities and their analytic gradients are
+available in closed form, which is what the optimizers build on.
 """
 
 from __future__ import annotations
@@ -133,24 +134,24 @@ def user_scores(params: PolicyParams, user: int) -> np.ndarray:
     return params.item_embeddings @ params.user_embeddings[user] + params.item_bias
 
 
-def gumbel_top_k(
-    scores: np.ndarray, group_size: int, slate_length: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``group_size`` slates per score row, returned as (B, G, L) item ids.
+def gumbel_top_k(scores: np.ndarray, slate_length: int, log_noise: np.ndarray) -> np.ndarray:
+    """Draw G slates per score row, returned as (B, G, L) item ids.
 
     Gumbel-top-k (Kool, van Hoof & Welling, 2019): perturbing every score
     once with -log(Exp(1)) noise and keeping the L largest keys in key order
-    is an exact draw of the sequential no-repeat softmax. The noise is one
-    (B, G, n) block, so the random stream does not depend on the outcome.
+    is an exact draw of the sequential no-repeat softmax. ``log_noise`` is a
+    (B, G, n) block of log(Exp(1)) draws, made before the scores are known,
+    so the random stream does not depend on the outcome. The keys are built
+    in ``log_noise`` itself, which the caller may refill once this returns.
     """
     B, n = scores.shape
+    if log_noise.shape[0] != B or log_noise.shape[2] != n:
+        raise ValueError("noise block must be (B, G, n) for (B, n) scores")
     if slate_length < 1:
         raise ValueError("slate length must be >= 1")
     if slate_length > n:
         raise ValueError(f"catalog has {n} items, cannot fill L={slate_length}")
-    keys = rng.standard_exponential((B, group_size, n))
-    np.log(keys, out=keys)
-    np.subtract(scores[:, None, :], keys, out=keys)
+    keys = np.subtract(scores[:, None, :], log_noise, out=log_noise)
     top = np.argpartition(keys, n - slate_length, axis=2)[:, :, n - slate_length :]
     order = np.argsort(-np.take_along_axis(keys, top, axis=2), axis=2)
     return np.take_along_axis(top, order, axis=2)
@@ -290,8 +291,32 @@ def snapshot(params: PolicyParams) -> PolicyParams:
 
 
 def probe_work(n_users: int, n_items: int) -> np.ndarray:
-    """Score block for :func:`mean_first_position_mass`: about 2**19 scores, >= 2 rows."""
+    """Score block for :func:`score_blocks`: about 2**19 scores, >= 2 rows."""
     return np.empty((min(n_users, max(2, 2**19 // n_items)), n_items))
+
+
+def score_blocks(params: PolicyParams, work: np.ndarray | None = None):
+    """Yield ``(start, z)``: users ``start, start + 1, ...``'s unmasked scores as rows of ``z``.
+
+    ``z`` is the leading rows of ``work`` (default :func:`probe_work`),
+    overwritten block after block, so all users are scored in one buffer and
+    the (n_users, n_items) matrix never exists. The last block is moved back
+    to end at the last user, so every block has the same rows and a block
+    may repeat the previous one's last users: a one-row block would take
+    BLAS's matrix-vector path and round differently. At 1000 and 50 000
+    items any block of two or more rows gives the bits of the full score
+    matrix; at some other shapes BLAS picks its kernel by the block's rows,
+    and the last bit can move.
+    """
+    if work is None:
+        work = probe_work(params.n_users, params.n_items)
+    rows = min(work.shape[0], params.n_users)
+    z = work[:rows]
+    for start in range(0, params.n_users, rows):
+        start = min(start, params.n_users - rows)
+        np.matmul(params.user_embeddings[start : start + rows], params.item_embeddings.T, out=z)
+        z += params.item_bias
+        yield start, z
 
 
 def mean_first_position_mass(
@@ -301,27 +326,15 @@ def mean_first_position_mass(
 
     The probe the training reports use to track how much of the policy's head
     distribution sits on a given item pool (e.g. the cold set). Users are
-    scored in blocks of ``work``'s rows (default :func:`probe_work`), written
-    into ``work`` itself, so a caller can keep one buffer for a whole run. The
-    last block is moved back to end at the last user, so every block has the
-    same rows: a one-row block would take BLAS's matrix-vector path and round
-    differently. At 1000 and 50 000 items any block of two or more rows gives
-    the bits of the full score matrix; at some other shapes BLAS picks its
-    kernel by the block's rows, and the last bit can move.
+    scored by :func:`score_blocks` into ``work``, so a caller can keep one
+    buffer for a whole run.
     """
     items = np.asarray(items, dtype=np.intp)
-    if work is None:
-        work = probe_work(params.n_users, params.n_items)
-    rows = min(work.shape[0], params.n_users)
-    z = work[:rows]
     mass = np.empty(params.n_users)
-    for start in range(0, params.n_users, rows):
-        start = min(start, params.n_users - rows)
-        np.matmul(params.user_embeddings[start : start + rows], params.item_embeddings.T, out=z)
-        z += params.item_bias
+    for start, z in score_blocks(params, work):
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
-        mass[start : start + rows] = z[:, items].sum(axis=1) / z.sum(axis=1)
+        mass[start : start + z.shape[0]] = z[:, items].sum(axis=1) / z.sum(axis=1)
     return float(mass.mean())
 
 

@@ -273,25 +273,41 @@ def logged_pretraining(
     return InteractionLog(user_ids=user_ids.astype(np.int64), item_ids=item_ids)
 
 
+def feedback_noise(
+    rng: np.random.Generator, shape: tuple[int, ...], config: FeedbackConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws :func:`feedback` reads for slates of ``shape``: click uniforms, then watch noise.
+
+    The watch noise is log-normal with unit mean and log-scale
+    ``config.watch_noise_sigma``.
+    """
+    sigma = config.watch_noise_sigma
+    return rng.random(shape), rng.lognormal(-0.5 * sigma * sigma, sigma, shape)
+
+
 def feedback(
     users: list[UserModel],
     slates,
     catalog: Catalog,
-    rng: np.random.Generator,
+    click_uniforms: np.ndarray,
+    watch_noise: np.ndarray,
     config: FeedbackConfig,
 ) -> np.ndarray:
     """Score (B, G, L) slates, returning (B, G, 2) rewards (total clicks, total watch-time).
 
-    Row b's G slates are shown to ``users[b]``. Exactly two (B, G, L) blocks
-    of draws are consumed per call (one uniform, then one noise value per
-    item) regardless of outcomes, so downstream draws do not depend on which
-    items were clicked.
+    Row b's G slates are shown to ``users[b]``. An item is clicked when its
+    entry of ``click_uniforms`` lies below its click probability, and a click
+    watches ``engagement * quality * watch_noise``. Both arrays have the
+    slates' shape and come from :func:`feedback_noise`, drawn before the
+    slates are known, so no draw depends on which items were clicked.
     """
     items = np.asarray(slates, dtype=np.intp)
     if items.ndim != 3 or items.size == 0 or items.shape[0] != len(users):
         raise ValueError("slates must be a nonempty (B, G, L) item array, one row per user")
     if items.min() < 0 or items.max() >= catalog.n_items:
         raise ValueError("slate references items beyond the catalog")
+    if click_uniforms.shape != items.shape or watch_noise.shape != items.shape:
+        raise ValueError("feedback draws must have the slates' shape")
     pref = np.stack([u.preference for u in users])
     engagement = np.array([u.engagement_scale for u in users])
     affinity = pref[np.arange(len(users))[:, None, None], catalog.categories[items]]
@@ -301,10 +317,8 @@ def feedback(
     # intermediate exp is expected and harmless.
     with np.errstate(over="ignore"):
         p_click = 1.0 / (1.0 + np.exp(-logits))
-    clicks = rng.random(items.shape) < p_click
-    sigma = config.watch_noise_sigma
-    noise = rng.lognormal(-0.5 * sigma * sigma, sigma, items.shape)
-    watch = clicks * engagement[:, None, None] * quality * noise
+    clicks = click_uniforms < p_click
+    watch = clicks * engagement[:, None, None] * quality * watch_noise
     return np.stack([clicks.sum(axis=2), watch.sum(axis=2)], axis=2).astype(np.float64)
 
 
@@ -381,6 +395,28 @@ class WorldConfig:
     engagement_high: float = 60.0
     n_relevant: int = 20
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
+
+    def __post_init__(self) -> None:
+        # build_world's own checks, made when the config is built, so a config
+        # file reports them at the key's line before any output exists.
+        if not 2 <= self.n_subcats <= self.n_items:
+            raise ValueError("need n_items >= n_subcats >= 2")
+        if self.n_users < 1:
+            raise ValueError("n_users must be >= 1")
+        if self.zipf_exponent < 0:
+            raise ValueError("zipf_exponent must be >= 0")
+        if not 0 < self.cold_fraction < 1:
+            raise ValueError("cold_fraction must lie in (0, 1)")
+        if self.n_pretrain_interactions < 1:
+            raise ValueError("n_pretrain_interactions must be >= 1")
+        if not 0 <= self.mainstream_weight <= 1:
+            raise ValueError("mainstream_weight must lie in [0, 1]")
+        if self.preference_concentration <= 0:
+            raise ValueError("preference_concentration must be positive")
+        if not 0 < self.engagement_low <= self.engagement_high:
+            raise ValueError("need 0 < engagement_low <= engagement_high")
+        if not 1 <= self.n_relevant <= self.n_items:
+            raise ValueError("n_relevant must lie in [1, n_items]")
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,17 @@ gradient reduces to a few matrix products; no per-parameter loops. Sampling,
 log-probs and weights all come from the one Plackett–Luce kernel in
 ``policy``.
 
-Everything is driven by one seeded generator in a fixed order, so runs are
-bit-reproducible.
+Every random number a step reads is drawn before the step runs, by one
+function (``_draw_step``) from one seeded generator in a fixed order: the
+user batch, the sampling noise, then the feedback draws. Sampling and
+feedback read those arrays, so no draw depends on an outcome, and whichever
+thread makes a step's draws, the stream and every result are the same bits.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -43,6 +47,7 @@ from .policy import (
     init_policy,
     mean_first_position_mass,
     probe_work,
+    score_blocks,
     snapshot,
     user_scores,
 )
@@ -55,7 +60,7 @@ from .signals import (
     log_ratio,
     naive_advantage,
 )
-from .simenv import World, item_vectors
+from .simenv import FeedbackConfig, World, feedback_noise, item_vectors
 from .simenv import feedback as _score_feedback  # the traced feedback stage
 
 OPTIMIZERS = ("sage", "gbpo", "grpo")
@@ -213,6 +218,43 @@ def _build_groups(users, items, scan: SlateScan, rewards, entropies) -> StepBatc
     return StepBatch(users, items, scan.logps, rewards, entropies, scan)
 
 
+@dataclass
+class StepDraws:
+    """Every random number one step reads, drawn before the step runs.
+
+    ``users`` is the (B,) user batch, or None when the caller names the
+    users; ``log_noise`` is the (B, G, n) log(Exp(1)) block the sampler
+    builds its keys in; ``click_uniforms`` and ``watch_noise`` are the
+    (B, G, L) feedback draws.
+    """
+
+    users: np.ndarray | None
+    log_noise: np.ndarray
+    click_uniforms: np.ndarray
+    watch_noise: np.ndarray
+
+
+def _draw_step(
+    rng: np.random.Generator,
+    log_noise: np.ndarray,
+    slate_length: int,
+    feedback: FeedbackConfig,
+    n_users: int | None = None,
+) -> StepDraws:
+    """One step's draws, in stream order, with the noise written into ``log_noise``.
+
+    With ``n_users``, the first B of a permutation of the users; then one
+    Exp(1) per entry of the (B, G, n) ``log_noise``, logged in place; then
+    the click uniforms and the watch-time log-normals.
+    """
+    B, G, _ = log_noise.shape
+    users = None if n_users is None else rng.permutation(n_users)[:B]
+    rng.standard_exponential(out=log_noise)
+    np.log(log_noise, out=log_noise)
+    uniforms, watch = feedback_noise(rng, (B, G, slate_length), feedback)
+    return StepDraws(users, log_noise, uniforms, watch)
+
+
 def collect_group(
     frozen: PolicyParams,
     world: World,
@@ -228,7 +270,9 @@ def collect_group(
     """
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    batch = _collect_batch(frozen, world, np.array([user]), group_size, slate_length, rng)
+    noise = np.empty((1, group_size, world.catalog.n_items))
+    draws = _draw_step(rng, noise, slate_length, world.config.feedback)
+    batch = _collect_batch(frozen, world, np.array([user]), draws)
     batch.scan = None
     return batch
 
@@ -237,19 +281,24 @@ def _collect_batch(
     frozen: PolicyParams,
     world: World,
     users: np.ndarray,
-    group_size: int,
-    slate_length: int,
-    rng: np.random.Generator,
+    draws: StepDraws,
+    on_sampled: Callable[[], None] | None = None,
 ) -> StepBatch:
     """Collect every user's group in one stacked pass (the training hot path).
 
-    Sampling consumes one (B, G, n) block of noise, feedback two (B, G, L)
-    blocks, so the random stream does not depend on what was drawn.
+    The group size and slate length are those of ``draws``. ``on_sampled``
+    is called as soon as the sampler is done with ``draws.log_noise``, which
+    may then be refilled.
     """
     scores = np.stack([user_scores(frozen, int(u)) for u in users])
-    items = _sample_slates(scores, group_size, slate_length, rng)
+    slate_length = draws.click_uniforms.shape[2]
+    items = _sample_slates(scores, slate_length, draws.log_noise)
+    if on_sampled is not None:
+        on_sampled()
     models = [world.users[int(u)] for u in users]
-    rewards = _score_feedback(models, items, world.catalog, rng, world.config.feedback)
+    rewards = _score_feedback(
+        models, items, world.catalog, draws.click_uniforms, draws.watch_noise, world.config.feedback
+    )
     flat = items.reshape(-1, slate_length)
     entropies = _slate_entropies(flat, world.catalog.categories, world.catalog.n_subcats)
     return _build_groups(users, items, SlateScan(scores, items), rewards, entropies)
@@ -426,12 +475,16 @@ def rank_items(params: PolicyParams, k: int) -> list[tuple[int, ...]]:
     """Top-k item ids per user by unmasked score, ties broken by item id.
 
     Score order equals the policy's greedy slate order, so this is the
-    deterministic ranking the policy induces.
+    deterministic ranking the policy induces. Users are scored in the
+    blocks of :func:`score_blocks`, so the full score matrix never exists.
     """
     if not 1 <= k <= params.n_items:
         raise ValueError("k must lie in [1, n_items]")
-    scores = params.user_embeddings @ params.item_embeddings.T + params.item_bias
-    return [top_k_ids(row, k) for row in scores]
+    rankings: list[tuple[int, ...]] = []
+    for start, z in score_blocks(params):
+        # A block may repeat users the previous one ranked.
+        rankings.extend(top_k_ids(row, k) for row in z[len(rankings) - start :])
+    return rankings
 
 
 def evaluate_policy(
@@ -468,10 +521,14 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     batch-mean slate entropy into the tracker, then record diagnostics (and
     checkpoint metrics when due). A :class:`NumericAbort` carries its step.
 
-    A step's cold mass is probed on the next step's snapshot, which holds
-    exactly that step's parameters, by one worker thread while the next step
-    trains; the last step is probed directly. The ``with`` block joins the
-    worker whether the loop returns or raises.
+    One worker thread does two jobs beside the steps, in submission order.
+    At the top of step t+1 it gets the probe of step t's cold mass, on that
+    step's read-only snapshot, which holds exactly the parameters step t
+    ended with; the last step is probed directly. Once step t's sampler is
+    done with the noise block, it gets step t+1's draws, unless the probe is
+    still running, in which case step t+1 draws them itself. Either way one
+    thread at a time uses the generator, in the same order. The ``with``
+    block joins the worker whether the loop returns or raises.
     """
     config = config.resolve()
     if config.users_per_step > world.config.n_users:
@@ -493,35 +550,48 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     cold_ids = np.array(sorted(world.catalog.cold_items), dtype=np.intp)
     report = ExperimentReport()
     work = probe_work(params.n_users, params.n_items)
+    noise = np.empty((config.users_per_step, config.group_size, params.n_items))
+    draw_args = (rng, noise, config.slate_length, world.config.feedback, world.config.n_users)
     pending = None  # the previous step's record, waiting for its cold mass
+    probed = None  # the worker's probe of that record's cold mass
+    drawn = None  # the worker's draws for this step
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sagerec-probe") as probe:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sagerec-worker") as worker:
+
+        def hand_over() -> None:
+            # The sampler is done with the noise block, so the worker may draw
+            # the next step into it, unless it is still busy with the probe.
+            nonlocal drawn
+            if step + 1 < config.total_steps and (probed is None or probed.done()):
+                drawn = worker.submit(_draw_step, *draw_args)
+
         for step in range(config.total_steps):
-            frozen = snapshot(params)
-            if pending is not None:
-                probed = probe.submit(mean_first_position_mass, frozen, cold_ids, work)
-            users = rng.permutation(world.config.n_users)[: config.users_per_step]
-            batch = _collect_batch(
-                frozen, world, users, config.group_size, config.slate_length, rng
-            )
-            advantages = _batch_advantages(batch.rewards, config)
-            for _ in range(config.updates_per_snapshot):
-                try:
+            try:
+                frozen = snapshot(params)
+                if pending is not None:
+                    probed = worker.submit(mean_first_position_mass, frozen, cold_ids, work)
+                draws = drawn.result() if drawn is not None else _draw_step(*draw_args)
+                drawn = None
+                batch = _collect_batch(frozen, world, draws.users, draws, hand_over)
+                advantages = _batch_advantages(batch.rewards, config)
+                for _ in range(config.updates_per_snapshot):
                     result = compute_gradient(batch, params, frozen, config, tracker, advantages)
                     # Only the first pass sees the snapshot's parameters.
                     batch.scan = None
                     params = apply_update(params, result.gradient, opt_state, config)
-                except NumericAbort as exc:
-                    exc.step = step
-                    raise
-            batch_entropy = float(batch.entropies.reshape(len(users), -1).mean(axis=1).mean())
-            tracker = update_entropy_ema(tracker, batch_entropy)
+                batch_entropy = float(
+                    batch.entropies.reshape(len(draws.users), -1).mean(axis=1).mean()
+                )
+                tracker = update_entropy_ema(tracker, batch_entropy)
 
-            eval_metrics = None
-            if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
-                eval_metrics = evaluate_policy(params, world, config.eval_k)
-            if pending is not None:
-                report.records.append(pending(cold_mass=probed.result()))
+                eval_metrics = None
+                if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
+                    eval_metrics = evaluate_policy(params, world, config.eval_k)
+                if pending is not None:
+                    report.records.append(pending(cold_mass=probed.result()))
+            except NumericAbort as exc:
+                exc.step = step
+                raise
             pending = partial(
                 StepRecord,
                 step=step,

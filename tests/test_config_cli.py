@@ -268,6 +268,29 @@ def test_mistyped_value_exits_1_at_its_key(tmp_path, capsys, section, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "n_relevant: 2000",
+        "cold_fraction: 1.5",
+        "n_subcats: 0",
+        "engagement_low: 90.0",
+        "n_pretrain_interactions: 0",
+        "preference_concentration: -1.0",
+    ],
+)
+def test_invalid_world_value_exits_1_at_its_key(tmp_path, capsys, setting):
+    """A world value build_world would refuse is refused at its key's line,
+    before any output directory exists."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"out_dir: {out}\nseeds: [0]\nworld:\n  {setting}\n")
+    assert main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:4: invalid world: ")
+    assert setting.split(":")[0] in err
+    assert not out.exists()
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml"), "--quiet"]) == 3
     assert "i/o error" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from sagerec.simenv import (
     WorldConfig,
     build_world,
     feedback,
+    feedback_noise,
     generate_catalog,
     generate_users,
     identify_cold_items,
@@ -139,9 +140,14 @@ def test_logged_pretraining_counts_track_weights():
     assert np.all(np.abs(counts - n * p) <= 3 * sigma + 1e-9)
 
 
+def score(users, slates, cat, rng, cfg):
+    """``feedback`` on fresh draws from ``rng``, made as a training step makes them."""
+    return feedback(users, slates, cat, *feedback_noise(rng, np.shape(slates), cfg), cfg)
+
+
 def score_one(user, items, cat, rng, cfg):
     """(clicks, watch) of one slate: a one-user, one-slate batch."""
-    return feedback([user], [[items]], cat, rng, cfg)[0, 0]
+    return score([user], [[items]], cat, rng, cfg)[0, 0]
 
 
 def test_feedback_floor_and_ceiling():
@@ -186,7 +192,7 @@ def test_feedback_watch_needs_clicks():
     cfg = FeedbackConfig()
     rng = np.random.default_rng(5)
     for _ in range(100):
-        rewards = feedback(users, [[[1, 2, 3]] * 3, [[4, 5, 6]] * 3], cat, rng, cfg)
+        rewards = score(users, [[[1, 2, 3]] * 3, [[4, 5, 6]] * 3], cat, rng, cfg)
         assert rewards.shape == (2, 3, 2)
         clicks, watch = rewards[..., 0], rewards[..., 1]
         assert np.all(np.isfinite(watch)) and np.all(watch >= 0)
@@ -202,9 +208,12 @@ def test_feedback_rejects_bad_slates():
     with pytest.raises(ValueError):
         score_one(user, [25], cat, rng, FeedbackConfig())
     with pytest.raises(ValueError):
-        feedback([user], [0, 1, 2], cat, rng, FeedbackConfig())  # not (B, G, L)
+        score([user], [0, 1, 2], cat, rng, FeedbackConfig())  # not (B, G, L)
     with pytest.raises(ValueError):
-        feedback([user, user], [[[0, 1]]], cat, rng, FeedbackConfig())  # one row, two users
+        score([user, user], [[[0, 1]]], cat, rng, FeedbackConfig())  # one row, two users
+    uniforms, noise = feedback_noise(rng, (1, 1, 3), FeedbackConfig())
+    with pytest.raises(ValueError, match="draws"):
+        feedback([user], [[[0, 1]]], cat, uniforms, noise, FeedbackConfig())
 
 
 def test_feedback_batch_rejects_out_of_range_ids():
@@ -212,12 +221,12 @@ def test_feedback_batch_rejects_out_of_range_ids():
     users = generate_users(3, 4, seed=9)
     rng = np.random.default_rng(0)
     slates = np.tile(np.arange(4), (3, 2, 1))
-    assert feedback(users, slates, cat, rng, FeedbackConfig()).shape == (3, 2, 2)
+    assert score(users, slates, cat, rng, FeedbackConfig()).shape == (3, 2, 2)
     for bad in (20, -1):
         corrupt = slates.copy()
         corrupt[2, 1, 3] = bad
         with pytest.raises(ValueError, match="beyond the catalog"):
-            feedback(users, corrupt, cat, rng, FeedbackConfig())
+            score(users, corrupt, cat, rng, FeedbackConfig())
 
 
 def test_feedback_random_stream_is_pinned():

@@ -20,6 +20,11 @@ from sagerec.metrics import top_k_ids
 from sagerec.policy import PolicyParams, SlateScan, gumbel_top_k, next_item_distribution
 
 
+def _log_exp(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A block of log(Exp(1)) noise, as a training step draws it."""
+    return np.log(rng.standard_exponential(shape))
+
+
 def _params_for(scores: np.ndarray) -> PolicyParams:
     """Parameters whose user_scores(u) equal ``scores[u]`` bit for bit."""
     B, n = scores.shape
@@ -106,7 +111,7 @@ def test_gumbel_top_k_matches_plackett_luce_on_ordered_pairs():
     p = np.exp(scores[0])
     pairs = list(itertools.permutations(range(5), 2))
     exact = np.array([p[i] / p.sum() * p[j] / (p.sum() - p[i]) for i, j in pairs])
-    draws = gumbel_top_k(scores, 20_000, 2, np.random.default_rng(2019))[0]
+    draws = gumbel_top_k(scores, 2, _log_exp(np.random.default_rng(2019), (1, 20_000, 5)))[0]
     index = {pair: k for k, pair in enumerate(pairs)}
     observed = np.bincount([index[(int(a), int(b))] for a, b in draws], minlength=len(pairs))
     _, pvalue = stats.chisquare(observed, exact * draws.shape[0])
@@ -115,12 +120,15 @@ def test_gumbel_top_k_matches_plackett_luce_on_ordered_pairs():
 
 def test_gumbel_top_k_shapes_and_validation():
     rng = np.random.default_rng(0)
-    items = gumbel_top_k(np.zeros((3, 7)), 4, 7, rng)
+    items = gumbel_top_k(np.zeros((3, 7)), 7, _log_exp(rng, (3, 4, 7)))
     assert items.shape == (3, 4, 7)
     assert all(sorted(row) == list(range(7)) for row in items.reshape(-1, 7).tolist())
     for L in (0, 8):
         with pytest.raises(ValueError):
-            gumbel_top_k(np.zeros((1, 7)), 1, L, rng)
+            gumbel_top_k(np.zeros((1, 7)), L, _log_exp(rng, (1, 1, 7)))
+    for shape in ((2, 1, 7), (1, 1, 6)):
+        with pytest.raises(ValueError, match="noise"):
+            gumbel_top_k(np.zeros((1, 7)), 2, _log_exp(rng, shape))
 
 
 @settings(max_examples=80, deadline=None)

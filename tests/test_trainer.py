@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sagerec import trainer
@@ -24,6 +24,7 @@ from sagerec.bounds import (
     list_entropy,
     update_entropy_ema,
 )
+from sagerec.metrics import top_k_ids
 from sagerec.policy import (
     PolicyGradient,
     PolicyParams,
@@ -52,6 +53,7 @@ from sagerec.trainer import (
     TrainConfig,
     _batch_advantages,
     _collect_batch,
+    _draw_step,
     apply_update,
     collect_group,
     compute_gradient,
@@ -103,6 +105,13 @@ def make_params(world, seed=3):
     return init_policy(
         world.config.n_users, world.catalog.n_items, 6, seed=seed, item_counts=counts
     )
+
+
+def collect(frozen, world, users, group_size, slate_length, rng):
+    """``_collect_batch`` on the draws a step makes once its users are drawn."""
+    noise = np.empty((len(users), group_size, world.catalog.n_items))
+    draws = _draw_step(rng, noise, slate_length, world.config.feedback)
+    return _collect_batch(frozen, world, users, draws)
 
 
 def collect_batch_groups(frozen, world, users, config, seed=5):
@@ -318,7 +327,7 @@ def test_fast_path_equals_rescoring_scan(n_users, group_size, slate_length, seed
     frozen = snapshot(params)
     rng = np.random.default_rng(seed)
     users = rng.choice(world.config.n_users, size=n_users, replace=False)
-    batch = _collect_batch(frozen, world, users, group_size, slate_length, rng)
+    batch = collect(frozen, world, users, group_size, slate_length, rng)
     rescan = SlateScan(np.stack([user_scores(params, int(u)) for u in users]), batch.items)
     assert np.array_equal(batch.scan.logps, rescan.logps)
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.0)
@@ -339,7 +348,7 @@ def test_collected_entropies_are_list_entropy(n_users, group_size, slate_length,
     params = make_params(world, seed=seed)
     rng = np.random.default_rng(seed)
     users = rng.choice(world.config.n_users, size=n_users, replace=False)
-    batch = _collect_batch(snapshot(params), world, users, group_size, slate_length, rng)
+    batch = collect(snapshot(params), world, users, group_size, slate_length, rng)
     slates = batch.items.reshape(-1, slate_length)
     assert batch.entropies.tolist() == [list_entropy(s, world.catalog.categories) for s in slates]
 
@@ -350,7 +359,7 @@ def test_collected_entropies_on_a_wide_catalog_within_one_ulp():
     params = make_params(world)
     rng = np.random.default_rng(4)
     users = np.arange(world.config.n_users)
-    batch = _collect_batch(snapshot(params), world, users, 8, 6, rng)
+    batch = collect(snapshot(params), world, users, 8, 6, rng)
     expected = np.array([list_entropy(s, world.catalog.categories) for s in batch.items.reshape(-1, 6)])
     assert np.all(np.abs(batch.entropies - expected) <= np.spacing(expected))
 
@@ -381,7 +390,7 @@ def test_batch_path_equals_group_adapter(
     frozen = snapshot(params)
     rng = np.random.default_rng(seed)
     users = rng.choice(world.config.n_users, size=n_users, replace=False)
-    batch = _collect_batch(frozen, world, users, group_size, slate_length, rng)
+    batch = collect(frozen, world, users, group_size, slate_length, rng)
     if constant_rewards:
         batch.rewards[:] = 1.0
     groups = user_batches(batch)
@@ -615,45 +624,82 @@ def test_train_later_updates_rescore_the_moved_policy(world):
     assert any(r.coef_pos_mean not in (None, 1.0) for r in result.report.records)
 
 
+@pytest.mark.parametrize("n_users", [None, 10])
+def test_step_draws_are_the_stream_in_order(world, n_users):
+    """One step's draws equal explicit same-seed calls, in the order a step
+    makes them, and leave the generator in the same state."""
+    B, G, L, n = 4, 3, 2, world.catalog.n_items
+    sigma = world.config.feedback.watch_noise_sigma
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    noise = np.full((B, G, n), np.nan)
+    draws = _draw_step(rng, noise, L, world.config.feedback, n_users)
+    if n_users is None:
+        assert draws.users is None
+    else:
+        assert np.array_equal(draws.users, ref.permutation(n_users)[:B])
+    assert draws.log_noise is noise
+    assert np.array_equal(noise, np.log(ref.standard_exponential((B, G, n))))
+    assert np.array_equal(draws.click_uniforms, ref.random((B, G, L)))
+    assert np.array_equal(draws.watch_noise, ref.lognormal(-0.5 * sigma * sigma, sigma, (B, G, L)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sagerec-worker")]
+
+
 @pytest.mark.parametrize("updates", [1, 3])
 def test_probe_rows_match_the_sequential_probe(world, updates, monkeypatch):
     """Row k's cold mass, probed on the next step's snapshot in the worker
     thread (or directly, for the last step), is the probe of the parameters
-    a k+1-step run ends with. The probe is delayed until the next step has
-    moved the live parameters, and a short switch interval interleaves the
-    two threads as finely as the interpreter allows."""
+    a k+1-step run ends with. A short switch interval interleaves the two
+    threads as finely as the interpreter allows. With a probe that returns
+    at once the worker draws most steps; with one delayed until the next
+    step has moved the live parameters, the steps draw for themselves. Step
+    0 always draws on the main thread and step 1 on the worker, and every
+    run gives the same records."""
     config = small_config(
         total_steps=4, updates_per_snapshot=updates, learning_rate=1.0, checkpoint_every=2
     )
     cold = np.array(sorted(world.catalog.cold_items), dtype=np.intp)
+    delay = 0.0
+    drawn_on = set()
 
-    def late_probe(*args):
-        time.sleep(0.01)
+    def timed_probe(*args):
+        time.sleep(delay)
         return mean_first_position_mass(*args)
 
-    monkeypatch.setattr(trainer, "mean_first_position_mass", late_probe)
+    def traced_draw(*args):
+        drawn_on.add(threading.current_thread().name.split("_")[0])
+        return _draw_step(*args)
+
+    monkeypatch.setattr(trainer, "mean_first_position_mass", timed_probe)
+    monkeypatch.setattr(trainer, "_draw_step", traced_draw)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        full = train(config, world).report.records
-        assert train(replace(config, total_steps=0), world).report.records == []
-        for k in range(config.total_steps):
-            short = train(replace(config, total_steps=k + 1), world)
-            assert short.report.records[k].cold_mass == mean_first_position_mass(short.params, cold)
-            assert short.report.records == full[: k + 1]
+        runs = []
+        for delay in (0.0, 0.01):
+            drawn_on.clear()
+            full = train(config, world).report.records
+            assert drawn_on == {"MainThread", "sagerec-worker"}
+            assert train(replace(config, total_steps=0), world).report.records == []
+            for k in range(config.total_steps):
+                short = train(replace(config, total_steps=k + 1), world)
+                assert short.report.records[k].cold_mass == mean_first_position_mass(short.params, cold)
+                assert short.report.records == full[: k + 1]
+            runs.append(full)
+        assert runs[0] == runs[1]
     finally:
         sys.setswitchinterval(interval)
 
 
-def _probe_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("sagerec-probe")]
-
-
 def test_train_joins_the_probe_thread_on_return_and_on_abort(world, monkeypatch):
-    """An abort while the worker is still probing keeps its step, and no
-    probe thread outlives ``train``."""
+    """An abort while the worker is still probing, or in the worker's draw
+    of the next step, keeps its step, and no worker thread outlives
+    ``train``."""
     train(small_config(total_steps=3), world)
-    assert _probe_threads() == []
+    assert _worker_threads() == []
 
     bad_step = 2
     real_probe, real_update = trainer.mean_first_position_mass, trainer.apply_update
@@ -674,7 +720,21 @@ def test_train_joins_the_probe_thread_on_return_and_on_abort(world, monkeypatch)
     with pytest.raises(NumericAbort) as info:
         train(small_config(total_steps=5), world)
     assert info.value.step == bad_step
-    assert _probe_threads() == []
+    assert _worker_threads() == []
+    monkeypatch.undo()
+
+    # Nothing is probed during step 0, so the worker always draws step 1,
+    # and its failure surfaces when step 1 takes the draws.
+    def failing_draw(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericAbort("injected draw")
+        return _draw_step(*args)
+
+    monkeypatch.setattr(trainer, "_draw_step", failing_draw)
+    with pytest.raises(NumericAbort, match="injected draw") as info:
+        train(small_config(total_steps=5), world)
+    assert info.value.step == 1
+    assert _worker_threads() == []
 
 
 def test_train_adaptive_and_symmetric_rules_diverge(world):
@@ -740,6 +800,31 @@ def test_rank_items_orders_by_score_then_id():
     assert rank_items(params, 2) == [(3, 2)]
     with pytest.raises(ValueError):
         rank_items(params, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_users=st.integers(1, 25),
+    n_items=st.sampled_from([5, 300, 1000, 5000, 50_000]),
+    d=st.sampled_from([1, 8, 16, 32]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 20),
+)
+# 50 000 items are scored ten users to a block, so 25 users take three
+# blocks, the last of which repeats five users of the second.
+@example(n_users=25, n_items=50_000, d=16, ties=False, seed=0, k=10)
+def test_blocked_ranking_equals_full_matrix_ranking(n_users, n_items, d, ties, seed, k):
+    """Ranking users block by block gives the rankings of the full score matrix.
+
+    Integer-valued parameters (``ties``) make exact score ties, which both
+    break by item id."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda shape: rng.integers(-2, 3, shape).astype(float)) if ties else rng.standard_normal
+    params = PolicyParams(draw((n_users, d)), draw((n_items, d)), draw(n_items))
+    k = min(k, n_items)
+    full = params.user_embeddings @ params.item_embeddings.T + params.item_bias
+    assert rank_items(params, k) == [top_k_ids(row, k) for row in full]
 
 
 def test_evaluate_policy_returns_metric_suite(world):
