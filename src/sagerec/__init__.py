@@ -14,11 +14,11 @@ from .bounds import (
     BoundConfig,
     EntropyTracker,
     boundary_curve,
-    effective_coefficient,
     entropy_penalty_scale,
-    gbpo_coefficient,
-    grpo_clip_coefficient,
+    gbpo_coefficients,
+    grpo_clip_coefficients,
     list_entropy,
+    sage_coefficients,
     update_entropy_ema,
 )
 from .config import ConfigError, ExperimentConfig, MetricConfig, load_experiment_config
@@ -44,10 +44,10 @@ from .signals import (
     batch_normalize,
     decoupled_advantage,
     group_normalize,
+    log_ratio,
     naive_advantage,
-    sequence_ratio,
 )
-from .simenv import Catalog, UserModel, World, WorldConfig, build_world
+from .simenv import Catalog, World, WorldConfig, build_world
 from .trainer import (
     ExperimentReport,
     StepBatch,
@@ -77,7 +77,6 @@ __all__ = [
     "StepRecord",
     "TrainConfig",
     "TrainResult",
-    "UserModel",
     "World",
     "WorldConfig",
     "batch_normalize",
@@ -87,24 +86,24 @@ __all__ = [
     "collect_group",
     "compute_gradient",
     "decoupled_advantage",
-    "effective_coefficient",
     "entropy_at_k",
     "entropy_penalty_scale",
     "evaluate_policy",
     "evaluate_rankings",
-    "gbpo_coefficient",
+    "gbpo_coefficients",
     "group_normalize",
-    "grpo_clip_coefficient",
+    "grpo_clip_coefficients",
     "ild",
     "init_policy",
     "list_entropy",
     "load_checkpoint",
     "load_experiment_config",
+    "log_ratio",
     "naive_advantage",
     "ndcg_at_k",
     "recall_at_k",
+    "sage_coefficients",
     "save_checkpoint",
-    "sequence_ratio",
     "slate_log_prob",
     "snapshot",
     "train",

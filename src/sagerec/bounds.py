@@ -25,8 +25,8 @@ is the default, literal is the fidelity/regression variant.
 
 One public array function per rule computes every coefficient from sequence
 ratios: training calls it on a batch of slates with the ratios it has already
-checked, the scalar entry points and :func:`boundary_curve` on single ratios,
-so the boundary table holds the numbers training applies.
+checked, and :func:`boundary_curve` on the whole ratio grid, so the boundary
+table holds the numbers training applies.
 """
 
 from __future__ import annotations
@@ -154,53 +154,19 @@ def entropy_penalty_scale(h, h_avg, temperature: float):
     return 1.0 + temperature * np.tanh(np.maximum(0.0, h_avg - h))
 
 
-def _check_ratio(r: float) -> float:
-    r = float(r)
-    if not math.isfinite(r) or r <= 0:
-        raise ValueError(f"sequence ratio must be finite and > 0, got {r}")
-    return r
-
-
-def effective_coefficient(
-    r: float,
-    advantage: float,
-    h: float,
-    tracker: EntropyTracker,
-    config: BoundConfig,
-) -> float:
-    """The scalar multiplying advantage * mean-log-prob gradient.
-
-    Dispatches on the advantage sign: nonnegative goes through the boost,
-    negative through the entropy-aware penalty with the scale computed from
-    the slate entropy and the tracker's running average. An uninitialized
-    tracker contributes no penalty (scale 1). Shares its arithmetic with
-    :func:`sage_coefficients`.
-    """
-    return float(sage_coefficients(_check_ratio(r), advantage, h, tracker, config))
-
-
-def gbpo_coefficient(r: float) -> float:
-    """Static symmetric baseline bound: min(r, 1) for either advantage sign."""
-    return float(gbpo_coefficients(_check_ratio(r)))
-
-
-def grpo_clip_coefficient(r: float, advantage: float, clip_eps: float = 0.2) -> float:
-    """Effective coefficient of the clipped surrogate (PPO-clip, as in GRPO).
-
-    min(r * A, clip(r, 1 - clip_eps, 1 + clip_eps) * A) has zero gradient where
-    clipping binds: r > 1 + clip_eps if A >= 0, r < 1 - clip_eps if A < 0.
-    Elsewhere the raw ratio passes through.
-    """
-    return float(grpo_clip_coefficients(_check_ratio(r), advantage, clip_eps))
-
-
-# The array forms below take sequence ratios, one entry per slate, and do not
+# The coefficient rules take sequence ratios, one entry per slate, and do not
 # check them: the caller does. A ratio that underflowed to 0.0 is a valid,
 # vanishing ratio with coefficient 0.
 
 
 def sage_coefficients(r, advantages, entropies, tracker: EntropyTracker, config: BoundConfig):
-    """Array form of :func:`effective_coefficient` over a batch of slates."""
+    """SAGE's coefficient of every slate, by the sign of its advantage.
+
+    A nonnegative advantage goes through the boost, a negative one through
+    the entropy-aware penalty, scaled by the slate entropy against the
+    tracker's running average. An uninitialized tracker contributes no
+    penalty (scale 1).
+    """
     h = np.asarray(entropies, dtype=np.float64)
     h_avg = tracker.mean if tracker.initialized else h
     scale = entropy_penalty_scale(h, h_avg, config.diversity_temp)
@@ -217,12 +183,17 @@ def sage_coefficients(r, advantages, entropies, tracker: EntropyTracker, config:
 
 
 def gbpo_coefficients(r):
-    """Array form of :func:`gbpo_coefficient`."""
+    """Static symmetric baseline bound: min(r, 1) for either advantage sign."""
     return np.minimum(r, 1.0)
 
 
 def grpo_clip_coefficients(r, advantages, clip_eps: float = 0.2):
-    """Array form of :func:`grpo_clip_coefficient`."""
+    """Effective coefficient of the clipped surrogate (PPO-clip, as in GRPO).
+
+    min(r * A, clip(r, 1 - clip_eps, 1 + clip_eps) * A) has zero gradient where
+    clipping binds: r > 1 + clip_eps if A >= 0, r < 1 - clip_eps if A < 0.
+    Elsewhere the raw ratio passes through.
+    """
     if not 0 < clip_eps < 1:
         raise ValueError(f"clip_eps must lie in (0, 1), got {clip_eps}")
     clipped = np.where(np.asarray(advantages) >= 0, r > 1.0 + clip_eps, r < 1.0 - clip_eps)
@@ -253,21 +224,27 @@ def boundary_curve(
     """
     levels = dict(entropy_levels if entropy_levels is not None else DEFAULT_ENTROPY_LEVELS)
     grid = [float(r) for r in r_grid]
-    if any(r <= 0 for r in grid):
-        raise ValueError("r grid must be strictly positive")
+    if not all(0 < r < math.inf for r in grid):
+        raise ValueError("r grid must be finite and strictly positive")
     if sorted(grid) != grid:
         raise ValueError("r grid must be sorted ascending")
-    rows: list[BoundaryPoint] = []
-    for r in grid:
-        for mode in _MODES:
-            cfg = replace(config, pos_mode=mode, neg_mode=mode)
-            for level, (h, h_avg) in levels.items():
-                tracker = EntropyTracker(mean=h_avg)
-                rows.append(BoundaryPoint(r, "gbpo", mode, level, gbpo_coefficient(r)))
-                for variant, advantage in (("sage_pos", 1.0), ("sage_neg", -1.0)):
-                    coef = effective_coefficient(r, advantage, h, tracker, cfg)
-                    rows.append(BoundaryPoint(r, variant, mode, level, coef))
-    return rows
+    r = np.array(grid)
+    gbpo = gbpo_coefficients(r).tolist()
+    # (mode, level) -> the gbpo, sage_pos and sage_neg columns over the grid.
+    columns = {}
+    for mode in _MODES:
+        cfg = replace(config, pos_mode=mode, neg_mode=mode)
+        for level, (h, h_avg) in levels.items():
+            tracker = EntropyTracker(mean=h_avg)
+            sage = [sage_coefficients(r, a, h, tracker, cfg).tolist() for a in (1.0, -1.0)]
+            columns[mode, level] = [gbpo, *sage]
+    return [
+        BoundaryPoint(x, variant, mode, level, columns[mode, level][v][i])
+        for i, x in enumerate(grid)
+        for mode in _MODES
+        for level in levels
+        for v, variant in enumerate(("gbpo", "sage_pos", "sage_neg"))
+    ]
 
 
 def write_boundary_curve(

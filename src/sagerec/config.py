@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be a nonempty list")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.train.users_per_step > self.world.n_users:
             raise ValueError(
                 f"train.users_per_step ({self.train.users_per_step}) exceeds "

@@ -15,35 +15,14 @@ import numpy as np
 DEFAULT_NORM_EPS = 1e-8
 
 
-def _check_logps(new_logps, old_logps) -> tuple[np.ndarray, np.ndarray]:
-    new = np.asarray(new_logps, dtype=np.float64)
-    old = np.asarray(old_logps, dtype=np.float64)
-    if new.ndim != 1 or old.ndim != 1:
-        raise ValueError("log-prob sequences must be 1-D")
-    if new.shape != old.shape:
-        raise ValueError(f"length mismatch: {new.shape[0]} vs {old.shape[0]}")
-    if new.shape[0] < 1:
-        raise ValueError("log-prob sequences must have length >= 1")
-    if not (np.all(np.isfinite(new)) and np.all(np.isfinite(old))):
-        raise ValueError("non-finite log-probabilities")
-    return new, old
-
-
 def log_ratio(new_logps: np.ndarray, old_logps: np.ndarray) -> np.ndarray:
     """Log of the sequence ratio: mean over the last (position) axis of new - old.
 
-    Unchecked, for any stack of slates; non-finite inputs give non-finite output.
+    exp of it is the geometric mean of the per-position probability ratios,
+    exactly 1 where the policies agree on the slate. Unchecked, for any stack
+    of slates; non-finite inputs give non-finite output.
     """
     return (new_logps - old_logps).mean(axis=-1)
-
-
-def sequence_ratio(new_logps, old_logps) -> float:
-    """Geometric mean of per-position probability ratios.
-
-    exp(mean(new - old)); equals 1 exactly when the policies agree on the
-    slate, and is strictly positive otherwise.
-    """
-    return float(np.exp(log_ratio(*_check_logps(new_logps, old_logps))))
 
 
 def group_normalize(

@@ -63,28 +63,12 @@ class Catalog:
 
 
 @dataclass(frozen=True)
-class UserModel:
-    """Per-user taste: simplex weights over sub-categories plus a watch-time scale."""
-
-    preference: np.ndarray
-    engagement_scale: float
-
-    def validate(self) -> None:
-        if np.any(self.preference < 0):
-            raise ValueError("preference weights must be nonnegative")
-        if abs(float(self.preference.sum()) - 1.0) > 1e-9:
-            raise ValueError("preference weights must sum to 1")
-        if self.engagement_scale <= 0:
-            raise ValueError("engagement_scale must be positive")
-
-
-@dataclass(frozen=True)
 class FeedbackConfig:
     """Two-objective feedback model.
 
     Click probability is sigmoid(affinity_weight * preference[category]
     + quality_weight * quality + click_bias); watch-time is click *
-    engagement_scale * quality * lognormal noise with unit mean.
+    engagement * quality * lognormal noise with unit mean.
     """
 
     affinity_weight: float = 6.0
@@ -211,13 +195,15 @@ def generate_users(
     concentration: float = 0.3,
     engagement_low: float = 20.0,
     engagement_high: float = 60.0,
-) -> list[UserModel]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw user preference vectors with a shared mainstream tilt.
 
-    Every user's preference is a blend of one global prior (mass decaying as
-    1/(c+1) over sub-categories) and an individual Dirichlet draw. The shared
-    component concentrates the population on the same few head categories,
-    which is what lets diversity collapse become visible at the corpus level.
+    Returns the (n_users, n_subcats) preference rows, each on the simplex,
+    and the (n_users,) watch-time engagement scales. Every user's preference
+    is a blend of one global prior (mass decaying as 1/(c+1) over
+    sub-categories) and an individual Dirichlet draw. The shared component
+    concentrates the population on the same few head categories, which is
+    what lets diversity collapse become visible at the corpus level.
     """
     if n_users < 1 or n_subcats < 2:
         raise ValueError("need n_users >= 1 and n_subcats >= 2")
@@ -230,25 +216,23 @@ def generate_users(
     rng = np.random.default_rng(seed)
     prior = 1.0 / (np.arange(n_subcats) + 1.0)
     prior = prior / prior.sum()
-    users = []
-    for _ in range(n_users):
+    preference = np.empty((n_users, n_subcats))
+    engagement = np.empty(n_users)
+    for u in range(n_users):
         own = rng.dirichlet(np.full(n_subcats, concentration))
         pref = mainstream_weight * prior + (1.0 - mainstream_weight) * own
-        pref = pref / pref.sum()
-        engagement = float(rng.uniform(engagement_low, engagement_high))
-        user = UserModel(preference=pref, engagement_scale=engagement)
-        user.validate()
-        users.append(user)
-    return users
+        preference[u] = pref / pref.sum()
+        engagement[u] = rng.uniform(engagement_low, engagement_high)
+    return preference, engagement
 
 
 def logged_pretraining(
     catalog: Catalog,
-    users: list[UserModel],
+    preference: np.ndarray,
     n_interactions: int,
     seed,
 ) -> InteractionLog:
-    """Sample a popularity-biased interaction history.
+    """Sample a popularity-biased interaction history of the users' ``preference`` rows.
 
     Each event picks a user uniformly at random and an item with probability
     proportional to popularity * preference[category]. The result is the world
@@ -257,15 +241,16 @@ def logged_pretraining(
     """
     if n_interactions < 1:
         raise ValueError("n_interactions must be >= 1")
-    if not users:
+    if not len(preference):
         raise ValueError("need at least one user")
     rng = np.random.default_rng(seed)
-    n_users = len(users)
+    n_users = len(preference)
     user_ids = rng.integers(0, n_users, size=n_interactions)
     uniforms = rng.random(n_interactions)
     item_ids = np.empty(n_interactions, dtype=np.int64)
     for u in np.unique(user_ids):
-        weights = catalog.popularity * users[u].preference[catalog.categories]
+        # Row first: ``preference[u, categories]`` is a slower advanced index.
+        weights = catalog.popularity * preference[u][catalog.categories]
         cdf = np.cumsum(weights / weights.sum())
         rows = np.flatnonzero(user_ids == u)
         picked = np.searchsorted(cdf, uniforms[rows], side="right")
@@ -285,8 +270,13 @@ def feedback_noise(
     return rng.random(shape), rng.lognormal(-0.5 * sigma * sigma, sigma, shape)
 
 
+# The feedback objectives, in the order of the last axis of :func:`feedback`.
+N_OBJECTIVES = 2
+
+
 def feedback(
-    users: list[UserModel],
+    preference: np.ndarray,
+    engagement: np.ndarray,
     slates,
     catalog: Catalog,
     click_uniforms: np.ndarray,
@@ -295,22 +285,23 @@ def feedback(
 ) -> np.ndarray:
     """Score (B, G, L) slates, returning (B, G, 2) rewards (total clicks, total watch-time).
 
-    Row b's G slates are shown to ``users[b]``. An item is clicked when its
-    entry of ``click_uniforms`` lies below its click probability, and a click
-    watches ``engagement * quality * watch_noise``. Both arrays have the
-    slates' shape and come from :func:`feedback_noise`, drawn before the
-    slates are known, so no draw depends on which items were clicked.
+    Row b's G slates are shown to the user whose (n_subcats,) preference row
+    is ``preference[b]`` and whose engagement is ``engagement[b]``. An item is
+    clicked when its entry of ``click_uniforms`` lies below its click
+    probability, and a click watches ``engagement * quality * watch_noise``.
+    Both draw arrays have the slates' shape and come from
+    :func:`feedback_noise`, drawn before the slates are known, so no draw
+    depends on which items were clicked.
     """
     items = np.asarray(slates, dtype=np.intp)
-    if items.ndim != 3 or items.size == 0 or items.shape[0] != len(users):
+    B = len(preference)
+    if items.ndim != 3 or items.size == 0 or not items.shape[0] == B == len(engagement):
         raise ValueError("slates must be a nonempty (B, G, L) item array, one row per user")
     if items.min() < 0 or items.max() >= catalog.n_items:
         raise ValueError("slate references items beyond the catalog")
     if click_uniforms.shape != items.shape or watch_noise.shape != items.shape:
         raise ValueError("feedback draws must have the slates' shape")
-    pref = np.stack([u.preference for u in users])
-    engagement = np.array([u.engagement_scale for u in users])
-    affinity = pref[np.arange(len(users))[:, None, None], catalog.categories[items]]
+    affinity = preference[np.arange(B)[:, None, None], catalog.categories[items]]
     quality = catalog.quality[items]
     logits = config.click_logits(affinity, quality)
     # The sigmoid is meant to saturate at extreme logits, so overflow in the
@@ -354,19 +345,20 @@ def identify_cold_items(
 
 def relevant_items(
     catalog: Catalog,
-    users: list[UserModel],
+    preference: np.ndarray,
     config: FeedbackConfig,
     n_relevant: int,
 ) -> list[frozenset[int]]:
-    """Ground-truth relevant set per user: top items by true click probability.
+    """Ground-truth relevant set per ``preference`` row: top items by true click probability.
 
-    Ties are broken by item id so the sets are reproducible.
+    Ties are broken by item id so the sets are reproducible. Users are ranked
+    one at a time, so no (n_users, n_items) logit matrix is built.
     """
     if not 1 <= n_relevant <= catalog.n_items:
         raise ValueError("n_relevant must lie in [1, n_items]")
     out = []
-    for user in users:
-        logits = config.click_logits(user.preference[catalog.categories], catalog.quality)
+    for pref in preference:
+        logits = config.click_logits(pref[catalog.categories], catalog.quality)
         out.append(frozenset(top_k_ids(logits, n_relevant)))
     return out
 
@@ -421,8 +413,13 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class World:
+    """The generated world; ``preference`` (n_users, n_subcats) and
+    ``engagement`` (n_users,) are indexed by user id.
+    """
+
     catalog: Catalog
-    users: list[UserModel]
+    preference: np.ndarray
+    engagement: np.ndarray
     log: InteractionLog
     relevant: list[frozenset[int]]
     config: WorldConfig
@@ -443,7 +440,7 @@ def build_world(config: WorldConfig, seed: int) -> World:
         config.cold_fraction,
         seed=catalog_ss,
     )
-    users = generate_users(
+    preference, engagement = generate_users(
         config.n_users,
         config.n_subcats,
         seed=users_ss,
@@ -452,13 +449,13 @@ def build_world(config: WorldConfig, seed: int) -> World:
         engagement_low=config.engagement_low,
         engagement_high=config.engagement_high,
     )
-    log = logged_pretraining(catalog, users, config.n_pretrain_interactions, seed=log_ss)
+    log = logged_pretraining(catalog, preference, config.n_pretrain_interactions, seed=log_ss)
     cold = identify_cold_items(
         log, config.cold_fraction, config.n_items, tiebreak=catalog.popularity
     )
     catalog = catalog.with_cold_items(cold)
-    relevant = relevant_items(catalog, users, config.feedback, config.n_relevant)
-    return World(catalog=catalog, users=users, log=log, relevant=relevant, config=config)
+    relevant = relevant_items(catalog, preference, config.feedback, config.n_relevant)
+    return World(catalog, preference, engagement, log, relevant, config)
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:

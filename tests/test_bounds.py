@@ -17,11 +17,9 @@ from sagerec.bounds import (
     BoundConfig,
     EntropyTracker,
     boundary_curve,
-    effective_coefficient,
     entropy_penalty_scale,
-    gbpo_coefficient,
     gbpo_coefficients,
-    grpo_clip_coefficient,
+    grpo_clip_coefficients,
     list_entropy,
     sage_coefficients,
     update_entropy_ema,
@@ -35,12 +33,12 @@ NO_TRACKER = EntropyTracker()
 
 def boost(r, cfg):
     """Coefficient of a nonnegative-advantage slate."""
-    return effective_coefficient(r, 1.0, 0.0, NO_TRACKER, cfg)
+    return float(sage_coefficients(r, 1.0, 0.0, NO_TRACKER, cfg))
 
 
 def penalty(r, h, h_avg, cfg):
     """Coefficient of a negative-advantage slate of entropy h against a running average h_avg."""
-    return effective_coefficient(r, -1.0, h, EntropyTracker(mean=h_avg), cfg)
+    return float(sage_coefficients(r, -1.0, h, EntropyTracker(mean=h_avg), cfg))
 
 
 def test_config_validation():
@@ -181,10 +179,8 @@ def test_penalty_text_intent_amplifies_low_entropy():
 
 
 def test_penalty_rejects_bad_args():
-    with pytest.raises(ValueError):
-        penalty(0.0, 0.0, 1.0, INTENT_CFG)
-    with pytest.raises(ValueError):
-        penalty(-1.0, 0.0, 1.0, INTENT_CFG)
+    # A ratio that underflowed to 0 is a vanishing ratio, not an error.
+    assert penalty(0.0, 0.0, 1.0, INTENT_CFG) == 0.0
     # A scale below 1 needs a negative temperature or entropy; both are refused.
     with pytest.raises(ValueError):
         BoundConfig(diversity_temp=-0.1)
@@ -200,25 +196,25 @@ def test_effective_coefficient_on_policy_start():
     tracker = EntropyTracker()
     for advantage in (1.0, 0.0, -1.0):
         for cfg in (LITERAL_CFG, INTENT_CFG):
-            assert effective_coefficient(1.0, advantage, 0.0, tracker, cfg) == 1.0
+            assert sage_coefficients(1.0, advantage, 0.0, tracker, cfg) == 1.0
 
 
 def test_effective_coefficient_negative_with_diverse_slate():
     tracker = update_entropy_ema(EntropyTracker(), 1.0)
     for r in (0.4, 0.9, 1.3):
-        got = effective_coefficient(r, -1.0, 1.2, tracker, INTENT_CFG)
+        got = sage_coefficients(r, -1.0, 1.2, tracker, INTENT_CFG)
         assert got == pytest.approx(min(r, 1.0), abs=1e-12)
 
 
 def test_effective_coefficient_uninitialized_tracker_adds_no_penalty():
-    got = effective_coefficient(0.5, -1.0, 0.0, EntropyTracker(), INTENT_CFG)
+    got = sage_coefficients(0.5, -1.0, 0.0, EntropyTracker(), INTENT_CFG)
     assert got == pytest.approx(0.5, abs=1e-15)
 
 
 def test_effective_coefficient_negative_low_entropy_amplified():
     tracker = update_entropy_ema(EntropyTracker(), 1.0)
     scale = entropy_penalty_scale(0.0, 1.0, 0.5)
-    got = effective_coefficient(0.8, -1.0, 0.0, tracker, INTENT_CFG)
+    got = sage_coefficients(0.8, -1.0, 0.0, tracker, INTENT_CFG)
     assert got == pytest.approx(0.8 * scale, abs=1e-12)
     assert got > 0.8
 
@@ -226,31 +222,35 @@ def test_effective_coefficient_negative_low_entropy_amplified():
 def test_effective_coefficient_positive_grid():
     tracker = EntropyTracker()
     for r in np.arange(0.1, 2.05, 0.1):
-        got = effective_coefficient(float(r), 2.0, 0.5, tracker, INTENT_CFG)
+        got = sage_coefficients(float(r), 2.0, 0.5, tracker, INTENT_CFG)
         assert got == pytest.approx(min(r, 1.3), abs=1e-12)
 
 
 def test_gbpo_coefficient_values():
-    assert gbpo_coefficient(0.5) == 0.5
-    assert gbpo_coefficient(1.7) == 1.0
-    assert gbpo_coefficient(1.0) == 1.0
-    with pytest.raises(ValueError):
-        gbpo_coefficient(0.0)
+    assert gbpo_coefficients(0.5) == 0.5
+    assert gbpo_coefficients(1.7) == 1.0
+    assert gbpo_coefficients(1.0) == 1.0
+    assert gbpo_coefficients(0.0) == 0.0
+    assert gbpo_coefficients(np.array([0.5, 1.7, 1.0, 0.0])).tolist() == [0.5, 1.0, 1.0, 0.0]
 
 
 def test_grpo_clip_coefficient_values():
-    assert grpo_clip_coefficient(1.0, 1.0) == 1.0
+    assert grpo_clip_coefficients(1.0, 1.0) == 1.0
     # Where clipping binds the clipped surrogate is flat: no gradient.
-    assert grpo_clip_coefficient(1.5, 1.0, clip_eps=0.2) == 0.0
-    assert grpo_clip_coefficient(0.5, -1.0, clip_eps=0.2) == 0.0
+    assert grpo_clip_coefficients(1.5, 1.0, clip_eps=0.2) == 0.0
+    assert grpo_clip_coefficients(0.5, -1.0, clip_eps=0.2) == 0.0
     # Clipping binds only in the direction that would enlarge the objective.
-    assert grpo_clip_coefficient(1.5, -1.0, clip_eps=0.2) == 1.5
-    assert grpo_clip_coefficient(0.5, 1.0, clip_eps=0.2) == 0.5
+    assert grpo_clip_coefficients(1.5, -1.0, clip_eps=0.2) == 1.5
+    assert grpo_clip_coefficients(0.5, 1.0, clip_eps=0.2) == 0.5
     # Inside the band the raw ratio passes through for either sign.
-    assert grpo_clip_coefficient(1.1, 1.0) == pytest.approx(1.1, abs=1e-15)
-    assert grpo_clip_coefficient(1.1, -1.0) == pytest.approx(1.1, abs=1e-15)
+    assert grpo_clip_coefficients(1.1, 1.0) == pytest.approx(1.1, abs=1e-15)
+    assert grpo_clip_coefficients(1.1, -1.0) == pytest.approx(1.1, abs=1e-15)
+    # One batch mixes both signs and both sides of the band.
+    r = np.array([1.5, 0.5, 1.5, 0.5, 1.1])
+    a = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+    assert grpo_clip_coefficients(r, a).tolist() == [0.0, 0.0, 1.5, 0.5, 1.1]
     with pytest.raises(ValueError):
-        grpo_clip_coefficient(1.0, 1.0, clip_eps=1.5)
+        grpo_clip_coefficients(1.0, 1.0, clip_eps=1.5)
 
 
 def test_boundary_curve_geometry():
@@ -285,9 +285,10 @@ def test_boundary_curve_geometry():
     h_avg=st.floats(0.0, 5.0),
 )
 def test_boundary_rows_are_the_training_coefficients(eps_boost, diversity_temp, h, h_avg):
-    """Every row equals, bitwise, the scalar coefficient and the batch form training runs."""
+    """Every row equals, bitwise, the rule on its single ratio and on a batch as training runs it."""
     assert trainer.effective_coefficient is sage_coefficients
     assert trainer.gbpo_coefficient is gbpo_coefficients
+    assert trainer.grpo_clip_coefficient is grpo_clip_coefficients
     config = BoundConfig(eps_boost=eps_boost, diversity_temp=diversity_temp)
     levels = {**DEFAULT_ENTROPY_LEVELS, "drawn": (h, h_avg)}
     grid = [k / 20 for k in range(1, 51)]
@@ -308,10 +309,10 @@ def test_boundary_rows_are_the_training_coefficients(eps_boost, diversity_temp, 
             for row in (x for x in rows if x.mode == mode and x.entropy_level == level):
                 i = grid.index(row.r)
                 if row.variant == "gbpo":
-                    scalar = gbpo_coefficient(row.r)
+                    scalar = gbpo_coefficients(row.r)
                 else:
                     advantage = 1.0 if row.variant == "sage_pos" else -1.0
-                    scalar = effective_coefficient(row.r, advantage, lh, tracker, cfg)
+                    scalar = sage_coefficients(row.r, advantage, lh, tracker, cfg)
                 assert row.coefficient == scalar == batch[row.variant][i], row
 
 
@@ -320,6 +321,11 @@ def test_boundary_curve_rejects_bad_grid():
         boundary_curve([0.2, 0.1], BoundConfig())
     with pytest.raises(ValueError):
         boundary_curve([-0.1, 0.5], BoundConfig())
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            boundary_curve([0.5, bad], BoundConfig())
+        with pytest.raises(ValueError, match="finite"):
+            boundary_curve([bad], BoundConfig())
 
 
 def test_boundary_csv_roundtrip(tmp_path):

@@ -232,13 +232,28 @@ def test_run_config_error_exits_1(tmp_path, capsys):
     # A train value that would fail mid-run, or silently train the wrong way,
     # is refused at its key's line before any world is built.
     out = tmp_path / "out"
-    for setting in ("eval_k: 0", "norm_eps: -1.0", "grpo_clip_eps: 7.0"):
+    for setting in ("eval_k: 0", "norm_eps: -1.0", "grpo_clip_eps: 7.0", "reward_weights: [1.0]"):
         path = write_config(tmp_path, f"out_dir: {out}\nseeds: [0]\ntrain:\n  {setting}\n")
         assert main(["run", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}:4: invalid train: ")
         assert setting.split(":")[0] in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seeds, flags",
+    [("[0, -1]", []), ("-2", []), ("[0]", ["--seed-override", "-3"])],
+    ids=["list", "scalar", "override"],
+)
+def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, seeds, flags):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"out_dir: {out}\nseeds: {seeds}\n")
+    assert main(["run", str(path), "--quiet", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}")
+    assert "seeds must be nonnegative" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

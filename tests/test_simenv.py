@@ -11,7 +11,6 @@ from sagerec.simenv import (
     Catalog,
     FeedbackConfig,
     InteractionLog,
-    UserModel,
     WorldConfig,
     build_world,
     feedback,
@@ -27,10 +26,9 @@ from sagerec.simenv import (
 )
 
 
-def uniform_user(n_subcats: int, engagement: float = 30.0) -> UserModel:
-    return UserModel(
-        preference=np.full(n_subcats, 1.0 / n_subcats), engagement_scale=engagement
-    )
+def uniform_users(n_subcats: int, engagement: float = 30.0, n: int = 1):
+    """(preference, engagement) arrays of ``n`` users with uniform taste."""
+    return np.full((n, n_subcats), 1.0 / n_subcats), np.full(n, engagement)
 
 
 def test_generate_catalog_shapes_and_ranges():
@@ -86,31 +84,29 @@ def test_generate_catalog_rejects_bad_args():
 
 
 def test_generate_users_simplex_and_determinism():
-    users = generate_users(30, 10, seed=2)
-    assert len(users) == 30
-    for u in users:
-        assert np.all(u.preference >= 0)
-        assert abs(u.preference.sum() - 1.0) <= 1e-9
-        assert 20.0 <= u.engagement_scale <= 60.0
-    again = generate_users(30, 10, seed=2)
-    assert all(
-        np.array_equal(a.preference, b.preference) for a, b in zip(users, again)
-    )
+    pref, engagement = generate_users(30, 10, seed=2)
+    assert pref.shape == (30, 10) and engagement.shape == (30,)
+    assert np.all(pref >= 0)
+    assert np.all(np.abs(pref.sum(axis=1) - 1.0) <= 1e-9)
+    assert np.all((engagement >= 20.0) & (engagement <= 60.0))
+    again_pref, again_engagement = generate_users(30, 10, seed=2)
+    assert np.array_equal(pref, again_pref)
+    assert np.array_equal(engagement, again_engagement)
 
 
 def test_generate_users_pure_mainstream_collapses_to_prior():
-    users = generate_users(5, 6, seed=0, mainstream_weight=1.0)
+    pref, _ = generate_users(5, 6, seed=0, mainstream_weight=1.0)
     prior = 1.0 / (np.arange(6) + 1.0)
     prior = prior / prior.sum()
-    for u in users:
-        assert u.preference == pytest.approx(prior, abs=1e-12)
+    for row in pref:
+        assert row == pytest.approx(prior, abs=1e-12)
 
 
 def test_logged_pretraining_deterministic_and_in_range():
     cat = generate_catalog(40, 4, 1.1, 0.2, seed=3)
-    users = generate_users(6, 4, seed=5)
-    log1 = logged_pretraining(cat, users, 500, seed=11)
-    log2 = logged_pretraining(cat, users, 500, seed=11)
+    pref, _ = generate_users(6, 4, seed=5)
+    log1 = logged_pretraining(cat, pref, 500, seed=11)
+    log2 = logged_pretraining(cat, pref, 500, seed=11)
     assert len(log1) == 500
     assert np.array_equal(log1.item_ids, log2.item_ids)
     assert np.array_equal(log1.user_ids, log2.user_ids)
@@ -121,8 +117,8 @@ def test_logged_pretraining_deterministic_and_in_range():
 def test_logged_pretraining_extreme_popularity_concentrates():
     # With a huge exponent all weight sits on the single most popular item.
     cat = generate_catalog(10, 2, 60.0, 0.2, seed=7)
-    users = [uniform_user(2)]
-    log = logged_pretraining(cat, users, 300, seed=1)
+    pref, _ = uniform_users(2)
+    log = logged_pretraining(cat, pref, 300, seed=1)
     top = int(np.argmax(cat.popularity))
     assert np.all(log.item_ids == top)
 
@@ -130,10 +126,10 @@ def test_logged_pretraining_extreme_popularity_concentrates():
 def test_logged_pretraining_counts_track_weights():
     """Single-user draw frequencies stay within 3 sigma of the sampling weights."""
     cat = generate_catalog(12, 3, 0.8, 0.2, seed=8)
-    user = uniform_user(3)
+    pref, _ = uniform_users(3)
     n = 20000
-    log = logged_pretraining(cat, [user], n, seed=2)
-    weights = cat.popularity * user.preference[cat.categories]
+    log = logged_pretraining(cat, pref, n, seed=2)
+    weights = cat.popularity * pref[0, cat.categories]
     p = weights / weights.sum()
     counts = log.item_counts(12)
     sigma = np.sqrt(n * p * (1 - p))
@@ -141,18 +137,19 @@ def test_logged_pretraining_counts_track_weights():
 
 
 def score(users, slates, cat, rng, cfg):
-    """``feedback`` on fresh draws from ``rng``, made as a training step makes them."""
-    return feedback(users, slates, cat, *feedback_noise(rng, np.shape(slates), cfg), cfg)
+    """``feedback`` of the (preference, engagement) ``users`` on fresh draws from ``rng``,
+    made as a training step makes them."""
+    return feedback(*users, slates, cat, *feedback_noise(rng, np.shape(slates), cfg), cfg)
 
 
 def score_one(user, items, cat, rng, cfg):
     """(clicks, watch) of one slate: a one-user, one-slate batch."""
-    return score([user], [[items]], cat, rng, cfg)[0, 0]
+    return score(user, [[items]], cat, rng, cfg)[0, 0]
 
 
 def test_feedback_floor_and_ceiling():
     cat = generate_catalog(20, 4, 1.0, 0.2, seed=0)
-    user = uniform_user(4, engagement=10.0)
+    user = uniform_users(4, engagement=10.0)
     rng = np.random.default_rng(0)
     floor_cfg = FeedbackConfig(click_bias=-1e3, watch_noise_sigma=0.0)
     assert score_one(user, [0, 1, 2], cat, rng, floor_cfg) == pytest.approx([0.0, 0.0])
@@ -165,14 +162,15 @@ def test_feedback_floor_and_ceiling():
 
 def test_feedback_click_mean_matches_analytic():
     cat = generate_catalog(30, 5, 1.0, 0.2, seed=6)
-    user = generate_users(1, 5, seed=3)[0]
+    user = generate_users(1, 5, seed=3)
+    pref = user[0][0]
     cfg = FeedbackConfig()
     items = np.array([0, 5, 12, 20, 28])
     p = 1.0 / (
         1.0
         + np.exp(
             -(
-                cfg.affinity_weight * user.preference[cat.categories[items]]
+                cfg.affinity_weight * pref[cat.categories[items]]
                 + cfg.quality_weight * cat.quality[items]
                 + cfg.click_bias
             )
@@ -188,7 +186,9 @@ def test_feedback_click_mean_matches_analytic():
 
 def test_feedback_watch_needs_clicks():
     cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
-    users = [uniform_user(4), generate_users(1, 4, seed=2)[0]]
+    uniform_pref, uniform_engagement = uniform_users(4)
+    pref, engagement = generate_users(1, 4, seed=2)
+    users = np.vstack([uniform_pref, pref]), np.concatenate([uniform_engagement, engagement])
     cfg = FeedbackConfig()
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -201,19 +201,21 @@ def test_feedback_watch_needs_clicks():
 
 def test_feedback_rejects_bad_slates():
     cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
-    user = uniform_user(4)
+    user = uniform_users(4)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         score_one(user, [], cat, rng, FeedbackConfig())
     with pytest.raises(ValueError):
         score_one(user, [25], cat, rng, FeedbackConfig())
     with pytest.raises(ValueError):
-        score([user], [0, 1, 2], cat, rng, FeedbackConfig())  # not (B, G, L)
+        score(user, [0, 1, 2], cat, rng, FeedbackConfig())  # not (B, G, L)
     with pytest.raises(ValueError):
-        score([user, user], [[[0, 1]]], cat, rng, FeedbackConfig())  # one row, two users
+        score(uniform_users(4, n=2), [[[0, 1]]], cat, rng, FeedbackConfig())  # one row, two users
+    with pytest.raises(ValueError):
+        score((user[0], np.full(2, 30.0)), [[[0, 1]]], cat, rng, FeedbackConfig())  # two engagements
     uniforms, noise = feedback_noise(rng, (1, 1, 3), FeedbackConfig())
     with pytest.raises(ValueError, match="draws"):
-        feedback([user], [[[0, 1]]], cat, uniforms, noise, FeedbackConfig())
+        feedback(*user, [[[0, 1]]], cat, uniforms, noise, FeedbackConfig())
 
 
 def test_feedback_batch_rejects_out_of_range_ids():
@@ -232,7 +234,7 @@ def test_feedback_batch_rejects_out_of_range_ids():
 def test_feedback_random_stream_is_pinned():
     """A fixed seed scores one slate to the same numbers as the single-slate model it replaced."""
     cat = generate_catalog(30, 5, 1.0, 0.2, seed=11)
-    user = generate_users(1, 5, seed=4)[0]
+    user = generate_users(1, 5, seed=4)
     rng = np.random.default_rng(2024)
     clicks, watch = score_one(user, [2, 7, 11, 19, 23, 29], cat, rng, FeedbackConfig())
     assert clicks == 2.0
@@ -267,18 +269,18 @@ def test_identify_cold_items_accepts_log_and_validates():
 
 def test_relevant_items_follow_click_probability():
     cat = generate_catalog(15, 3, 1.0, 0.2, seed=4)
-    user = generate_users(1, 3, seed=9)[0]
+    pref, _ = generate_users(1, 3, seed=9)
     cfg = FeedbackConfig()
-    (rel,) = relevant_items(cat, [user], cfg, n_relevant=4)
+    (rel,) = relevant_items(cat, pref, cfg, n_relevant=4)
     logits = (
-        cfg.affinity_weight * user.preference[cat.categories]
+        cfg.affinity_weight * pref[0, cat.categories]
         + cfg.quality_weight * cat.quality
         + cfg.click_bias
     )
     expected = set(np.lexsort((np.arange(15), -logits))[:4].tolist())
     assert rel == frozenset(expected)
     with pytest.raises(ValueError):
-        relevant_items(cat, [user], cfg, n_relevant=0)
+        relevant_items(cat, pref, cfg, n_relevant=0)
 
 
 def test_item_vectors_layout():
@@ -303,6 +305,7 @@ def test_build_world_cold_set_comes_from_log():
     )
     assert world.catalog.cold_items == expected
     assert len(world.relevant) == 12
+    assert world.preference.shape == (12, 6) and world.engagement.shape == (12,)
 
 
 def test_build_world_deterministic():
@@ -333,13 +336,6 @@ def test_catalog_rejects_foreign_json(tmp_path):
     path.write_text('{"kind": "policy_checkpoint"}')
     with pytest.raises(ValueError):
         load_catalog(path)
-
-
-def test_user_model_validation():
-    with pytest.raises(ValueError):
-        UserModel(preference=np.array([0.5, 0.6]), engagement_scale=1.0).validate()
-    with pytest.raises(ValueError):
-        UserModel(preference=np.array([0.5, 0.5]), engagement_scale=0.0).validate()
 
 
 def test_catalog_with_cold_items_validates_range():

@@ -18,10 +18,10 @@ from sagerec import trainer
 from sagerec.bounds import (
     BoundConfig,
     EntropyTracker,
-    effective_coefficient,
-    gbpo_coefficient,
-    grpo_clip_coefficient,
+    gbpo_coefficients,
+    grpo_clip_coefficients,
     list_entropy,
+    sage_coefficients,
     update_entropy_ema,
 )
 from sagerec.metrics import top_k_ids
@@ -41,7 +41,6 @@ from sagerec.signals import (
     decoupled_advantage,
     group_normalize,
     naive_advantage,
-    sequence_ratio,
 )
 from sagerec.simenv import WorldConfig, build_world
 from sagerec.trainer import (
@@ -149,14 +148,14 @@ def reference_gradient(batches, params, config, tracker):
         for user, user_items, user_logps in zip(batch.users, batch.items, batch.logps):
             for items, old_logps in zip(user_items, user_logps):
                 _, new_pp = slate_log_prob(params, int(user), items)
-                r = sequence_ratio(new_pp, old_logps)
+                r = float(np.exp(np.mean(new_pp - old_logps)))
                 a = float(advantages[idx])
                 if cfg.optimizer == "sage":
-                    coef = effective_coefficient(r, a, float(entropies[idx]), tracker, cfg.bounds)
+                    coef = sage_coefficients(r, a, float(entropies[idx]), tracker, cfg.bounds)
                 elif cfg.optimizer == "gbpo":
-                    coef = gbpo_coefficient(r)
+                    coef = gbpo_coefficients(r)
                 else:
-                    coef = grpo_clip_coefficient(r, a, cfg.grpo_clip_eps)
+                    coef = grpo_clip_coefficients(r, a, cfg.grpo_clip_eps)
                 lg = log_prob_grad(params, int(user), items)
                 scale = coef * a / (L * S)
                 grad.item_bias += scale * lg.item_bias
@@ -185,6 +184,9 @@ def test_train_config_validation():
         small_config(learning_rate=0.0)
     with pytest.raises(ValueError):
         small_config(reward_weights=(0.5, -0.1))
+    for weights in ((1.0,), (0.3, 0.3, 0.4)):
+        with pytest.raises(ValueError, match="one per feedback objective"):
+            small_config(reward_weights=weights)
     with pytest.raises(ValueError):
         small_config(updates_per_snapshot=0)
     with pytest.raises(ValueError, match="eval_k"):
