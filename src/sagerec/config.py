@@ -180,21 +180,21 @@ def _build(cls, raw, path: tuple[str, ...], lines: dict, where: str):
     return _construct(cls, values, path, lines, where)
 
 
-def _refusal(cls, key: str, value) -> str | None:
-    try:
-        cls(**{key: value})
-    except (TypeError, ValueError) as exc:
-        return str(exc)
-    return None
-
-
 def _construct(cls, values: dict, path: tuple[str, ...], lines: dict, where: str):
     try:
         return cls(**values)
     except ValueError as exc:
-        # Each field check of the section dataclasses reads one field, so the
-        # key refused on its own with the same error is the one to point at.
-        key = next((k for k, v in values.items() if _refusal(cls, k, v) == str(exc)), None)
+        # Rebuild the dataclass from a growing prefix of its fields, the rest at
+        # their defaults: the key that brings the same error in is the one to point at.
+        prefix, key = {}, None
+        for name in (f.name for f in fields(cls) if f.name in values):
+            prefix[name] = values[name]
+            try:
+                cls(**prefix)
+            except (TypeError, ValueError) as trial:
+                if str(trial) == str(exc):
+                    key = name
+                    break
         at = path if key is None else path + (key,)
         label = ".".join(path) or "config"
         raise ConfigError(f"{_locate(where, lines, at)}: invalid {label}: {exc}") from exc
@@ -220,10 +220,10 @@ def load_experiment_config(
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be a mapping")
-    if out_override is not None:
-        data["out_dir"] = out_override
-    if seed_override is not None:
-        data["seeds"] = seed_override
+    for key, override in (("out_dir", out_override), ("seeds", seed_override)):
+        if override is not None:
+            data[key] = override
+            lines.pop((key,), None)  # no longer the file's value, so it has no line
     if not data.get("out_dir"):
         raise ConfigError(f"{where}: no output directory (set out_dir or pass --out)")
     if data.get("seeds") is None:

@@ -142,7 +142,7 @@ def gumbel_top_k(scores: np.ndarray, slate_length: int, log_noise: np.ndarray) -
     is an exact draw of the sequential no-repeat softmax. ``log_noise`` is a
     (B, G, n) block of log(Exp(1)) draws, made before the scores are known,
     so the random stream does not depend on the outcome. The keys are built
-    in ``log_noise`` itself, which the caller may refill once this returns.
+    in ``log_noise`` itself, which is overwritten.
     """
     B, n = scores.shape
     if log_noise.shape[0] != B or log_noise.shape[2] != n:
@@ -356,15 +356,18 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> PolicyParams:
     payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "policy_checkpoint":
+    if not isinstance(payload, dict) or payload.get("kind") != "policy_checkpoint":
         raise ValueError(f"{path}: not a policy checkpoint")
-    params = PolicyParams(
-        user_embeddings=np.array(payload["user_embeddings"], dtype=np.float64),
-        item_embeddings=np.array(payload["item_embeddings"], dtype=np.float64),
-        item_bias=np.array(payload["item_bias"], dtype=np.float64),
-        seed=int(payload["seed"]),
-    )
-    expected = (payload["n_users"], payload["n_items"], payload["d"])
+    try:
+        params = PolicyParams(
+            user_embeddings=np.array(payload["user_embeddings"], dtype=np.float64),
+            item_embeddings=np.array(payload["item_embeddings"], dtype=np.float64),
+            item_bias=np.array(payload["item_bias"], dtype=np.float64),
+            seed=int(payload["seed"]),
+        )
+        expected = (payload["n_users"], payload["n_items"], payload["d"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from exc
     if (params.n_users, params.n_items, params.d) != tuple(expected):
         raise ValueError(f"{path}: checkpoint dimensions inconsistent with matrices")
     params.validate()

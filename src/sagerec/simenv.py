@@ -46,10 +46,9 @@ class Catalog:
         return self.categories.shape[0]
 
     def with_cold_items(self, cold: frozenset[int]) -> "Catalog":
-        bad = [i for i in cold if not 0 <= i < self.n_items]
-        if bad:
-            raise ValueError(f"cold ids out of range: {sorted(bad)[:5]}")
-        return replace(self, cold_items=frozenset(int(i) for i in cold))
+        catalog = replace(self, cold_items=frozenset(int(i) for i in cold))
+        catalog.validate()
+        return catalog
 
     def validate(self) -> None:
         if not (self.categories.shape == self.quality.shape == self.popularity.shape):
@@ -60,6 +59,9 @@ class Catalog:
             raise ValueError("quality must lie in [0, 1]")
         if np.any(self.popularity <= 0):
             raise ValueError("popularity weights must be positive")
+        bad = sorted(i for i in self.cold_items if not 0 <= i < self.n_items)
+        if bad:
+            raise ValueError(f"cold ids out of range: {bad[:5]}")
 
 
 @dataclass(frozen=True)
@@ -473,14 +475,16 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
 def load_catalog(path: str | Path) -> Catalog:
     payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "catalog":
+    if not isinstance(payload, dict) or payload.get("kind") != "catalog":
         raise ValueError(f"{path}: not a catalog file")
-    catalog = Catalog(
-        n_subcats=int(payload["n_subcats"]),
-        categories=np.asarray(payload["categories"], dtype=np.int64),
-        quality=np.asarray(payload["quality"], dtype=np.float64),
-        popularity=np.asarray(payload["popularity"], dtype=np.float64),
-        cold_items=frozenset(int(i) for i in payload["cold_items"]),
-    )
-    catalog.validate()
-    return catalog
+    try:
+        return Catalog(
+            n_subcats=int(payload["n_subcats"]),
+            categories=np.asarray(payload["categories"], dtype=np.int64),
+            quality=np.asarray(payload["quality"], dtype=np.float64),
+            popularity=np.asarray(payload["popularity"], dtype=np.float64),
+        ).with_cold_items(frozenset(payload["cold_items"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: catalog lacks {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

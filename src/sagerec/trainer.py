@@ -17,17 +17,15 @@ log-probs and weights all come from the one Plackett–Luce kernel in
 Every random number a step reads is drawn before the step runs, by one
 function (``_draw_step``) from one seeded generator in a fixed order: the
 user batch, the sampling noise, then the feedback draws. Sampling and
-feedback read those arrays, so no draw depends on an outcome, and whichever
-thread makes a step's draws, the stream and every result are the same bits.
+feedback read those arrays, so no draw depends on an outcome, and ``train``
+can draw each step a step ahead on its worker thread without moving a bit.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -284,19 +282,14 @@ def _collect_batch(
     world: World,
     users: np.ndarray,
     draws: StepDraws,
-    on_sampled: Callable[[], None] | None = None,
 ) -> StepBatch:
     """Collect every user's group in one stacked pass (the training hot path).
 
-    The group size and slate length are those of ``draws``. ``on_sampled``
-    is called as soon as the sampler is done with ``draws.log_noise``, which
-    may then be refilled.
+    The group size and slate length are those of ``draws``.
     """
     scores = np.stack([user_scores(frozen, int(u)) for u in users])
     slate_length = draws.click_uniforms.shape[2]
     items = _sample_slates(scores, slate_length, draws.log_noise)
-    if on_sampled is not None:
-        on_sampled()
     rewards = _score_feedback(
         world.preference[users],
         world.engagement[users],
@@ -513,6 +506,12 @@ class TrainResult:
     tracker: EntropyTracker
 
 
+def _worker_job(probe: tuple | None, draw: tuple | None) -> tuple[float | None, StepDraws | None]:
+    """A step's one worker job: probe the previous step's cold mass, then draw the next step."""
+    mass = None if probe is None else mean_first_position_mass(*probe)
+    return mass, None if draw is None else _draw_step(*draw)
+
+
 def train(config: TrainConfig, world: World) -> TrainResult:
     """Run the full optimization loop and collect the per-step report.
 
@@ -521,14 +520,13 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     batch-mean slate entropy into the tracker, then record diagnostics (and
     checkpoint metrics when due). A :class:`NumericAbort` carries its step.
 
-    One worker thread does two jobs beside the steps, in submission order.
-    At the top of step t+1 it gets the probe of step t's cold mass, on that
-    step's read-only snapshot, which holds exactly the parameters step t
-    ended with; the last step is probed directly. Once step t's sampler is
-    done with the noise block, it gets step t+1's draws, unless the probe is
-    still running, in which case step t+1 draws them itself. Either way one
-    thread at a time uses the generator, in the same order. The ``with``
-    block joins the worker whether the loop returns or raises.
+    Step 0 is drawn before the loop. At the top of step t, after the
+    snapshot, the one worker thread gets one job: probe step t-1's cold mass
+    on that snapshot (the parameters step t-1 ended with), then draw step
+    t+1 into the noise block step t does not read. Step t takes the result
+    at its end, so an error in the job carries step t; the last step is
+    probed directly. After step 0 only the worker uses the generator. The
+    ``with`` block joins the worker whether the loop returns or raises.
     """
     config = config.resolve()
     if config.users_per_step > world.config.n_users:
@@ -549,30 +547,23 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     opt_state = OptimizerState()
     cold_ids = np.array(sorted(world.catalog.cold_items), dtype=np.intp)
     report = ExperimentReport()
-    work = probe_work(params.n_users, params.n_items)
-    noise = np.empty((config.users_per_step, config.group_size, params.n_items))
-    draw_args = (rng, noise, config.slate_length, world.config.feedback, world.config.n_users)
-    pending = None  # the previous step's record, waiting for its cold mass
-    probed = None  # the worker's probe of that record's cold mass
-    drawn = None  # the worker's draws for this step
+    probe = (cold_ids, probe_work(params.n_users, params.n_items))
+    blocks = np.empty((2, config.users_per_step, config.group_size, params.n_items))
+    draw_args = (config.slate_length, world.config.feedback, world.config.n_users)
+    draws = _draw_step(rng, blocks[0], *draw_args) if config.total_steps else None
+    pending = None  # the previous step's record fields, waiting for its cold mass
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sagerec-worker") as worker:
-
-        def hand_over() -> None:
-            # The sampler is done with the noise block, so the worker may draw
-            # the next step into it, unless it is still busy with the probe.
-            nonlocal drawn
-            if step + 1 < config.total_steps and (probed is None or probed.done()):
-                drawn = worker.submit(_draw_step, *draw_args)
-
         for step in range(config.total_steps):
             try:
                 frozen = snapshot(params)
-                if pending is not None:
-                    probed = worker.submit(mean_first_position_mass, frozen, cold_ids, work)
-                draws = drawn.result() if drawn is not None else _draw_step(*draw_args)
-                drawn = None
-                batch = _collect_batch(frozen, world, draws.users, draws, hand_over)
+                last = step + 1 == config.total_steps
+                job = worker.submit(
+                    _worker_job,
+                    None if pending is None else (frozen, *probe),
+                    None if last else (rng, blocks[(step + 1) % 2], *draw_args),
+                )
+                batch = _collect_batch(frozen, world, draws.users, draws)
                 advantages = _batch_advantages(batch.rewards, config)
                 for _ in range(config.updates_per_snapshot):
                     result = compute_gradient(batch, params, frozen, config, tracker, advantages)
@@ -587,13 +578,13 @@ def train(config: TrainConfig, world: World) -> TrainResult:
                 eval_metrics = None
                 if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
                     eval_metrics = evaluate_policy(params, world, config.eval_k)
+                mass, draws = job.result()
                 if pending is not None:
-                    report.records.append(pending(cold_mass=probed.result()))
+                    report.records.append(StepRecord(cold_mass=mass, **pending))
             except NumericAbort as exc:
                 exc.step = step
                 raise
-            pending = partial(
-                StepRecord,
+            pending = dict(
                 step=step,
                 mean_entropy=batch_entropy,
                 advantage_mean=result.advantage_mean,
@@ -603,5 +594,6 @@ def train(config: TrainConfig, world: World) -> TrainResult:
                 eval=eval_metrics,
             )
     if pending is not None:
-        report.records.append(pending(cold_mass=mean_first_position_mass(params, cold_ids, work)))
+        mass = mean_first_position_mass(params, *probe)
+        report.records.append(StepRecord(cold_mass=mass, **pending))
     return TrainResult(report=report, params=params, tracker=tracker)

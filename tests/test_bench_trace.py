@@ -1,0 +1,64 @@
+"""The names the benchmark's per-layer trace and failure record reach into.
+
+``bench/tracing.py`` wraps module attributes of ``sagerec.simenv`` and
+``sagerec.trainer`` by name, and ``bench/harness.py`` reads the ``step``
+local of ``trainer.train`` from a failure's traceback. A refactor that
+renames any of them breaks ``bench/run.py --trace 1`` without failing a
+unit test, so this file pins them.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import traceback
+from pathlib import Path
+
+import pytest
+
+from sagerec import simenv, trainer
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _wrapped():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+def test_every_traced_attribute_exists():
+    modules = {"simenv": simenv, "trainer": trainer}
+    wrapped = _wrapped()
+    assert wrapped
+    missing = [(m, attr) for m, attr, _ in wrapped if not callable(getattr(modules[m], attr, None))]
+    assert missing == []
+    assert callable(trainer.compute_gradient)
+    assert callable(trainer.snapshot)
+
+
+def test_a_failure_in_train_shows_its_step_local(monkeypatch):
+    """The harness finds a failure's step as the ``step`` local of ``train``'s frame."""
+    small = simenv.WorldConfig(
+        n_items=30, n_subcats=5, n_users=10, n_pretrain_interactions=500, n_relevant=5
+    )
+    world = simenv.build_world(small, seed=0)
+    calls = []
+
+    def failing_update(*args):
+        calls.append(1)
+        if len(calls) > 2:
+            raise KeyError("injected")
+        return real_update(*args)
+
+    real_update = trainer.apply_update
+    monkeypatch.setattr(trainer, "apply_update", failing_update)
+    config = trainer.TrainConfig(group_size=4, users_per_step=4, total_steps=5, slate_length=3)
+    with pytest.raises(KeyError) as info:
+        trainer.train(config, world)
+    steps = [
+        frame.f_locals.get("step")
+        for frame, _ in traceback.walk_tb(info.value.__traceback__)
+        if frame.f_code is trainer.train.__code__
+    ]
+    assert steps == [2]

@@ -257,6 +257,24 @@ def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, seeds, flags)
 
 
 @pytest.mark.parametrize(
+    "seeds, message",
+    [("[0, -1]", "seeds must be nonnegative, got -1"), ("[1, 1]", "seeds must be distinct")],
+    ids=["negative", "repeated"],
+)
+def test_invalid_seed_list_exits_1_at_its_line(tmp_path, capsys, seeds, message):
+    path = write_config(tmp_path, f"out_dir: {tmp_path / 'out'}\nseeds: {seeds}\n")
+    assert main(["run", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {path}:2: invalid config: {message}\n"
+
+
+def test_overridden_seed_has_no_line_of_the_file(tmp_path, capsys):
+    path = write_config(tmp_path, f"out_dir: {tmp_path / 'out'}\nseeds: [0]\n")
+    assert main(["run", str(path), "--quiet", "--seed-override", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: invalid config: seeds must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize(
     "section, setting",
     [
         ("train", "total_steps: 2.5"),
@@ -502,6 +520,30 @@ def test_eval_with_catalog_enables_diversity_metrics(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["entropy_at_k"] is not None
     assert out["ild"] is not None
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: {k: v for k, v in p.items() if k != "quality"}, "catalog lacks quality"),
+        (lambda p: [p], "not a catalog file"),
+        (lambda p: {**p, "cold_items": [3, 10]}, "cold ids out of range: [10]"),
+    ],
+    ids=["missing-key", "list", "cold-id-out-of-range"],
+)
+def test_eval_rejects_a_malformed_catalog(tmp_path, capsys, edit, message):
+    catalog_path = tmp_path / "catalog.json"
+    save_catalog(generate_catalog(10, 3, 1.0, 0.2, seed=0), catalog_path)
+    catalog_path.write_text(json.dumps(edit(json.loads(catalog_path.read_text()))))
+    recs = tmp_path / "recs.csv"
+    recs.write_text("user_id,rank,item_id\n0,1,3\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("user_id,item_id\n0,3\n")
+    cold = tmp_path / "cold.txt"
+    cold.write_text("3\n")
+    args = ["eval", str(recs), str(truth), str(cold), "-k", "1", "--catalog", str(catalog_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {catalog_path}: {message}\n"
 
 
 def test_eval_rejects_malformed_rows(tmp_path, capsys):

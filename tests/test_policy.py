@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -258,6 +259,23 @@ def test_load_checkpoint_rejects_foreign_json(tmp_path):
     path.write_text('{"kind": "something_else"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: [p], "not a policy checkpoint"),
+        (lambda p: {k: v for k, v in p.items() if k != "item_bias"}, "checkpoint lacks item_bias"),
+    ],
+    ids=["list", "missing-key"],
+)
+def test_load_checkpoint_rejects_a_malformed_payload(tmp_path, edit, message):
+    path = tmp_path / "policy.json"
+    save_checkpoint(init_policy(3, 5, 4, seed=21), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_gradient_container_helpers():

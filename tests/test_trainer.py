@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import threading
 import time
 from dataclasses import replace
@@ -29,6 +28,7 @@ from sagerec.policy import (
     PolicyGradient,
     PolicyParams,
     SlateScan,
+    gumbel_top_k,
     init_policy,
     log_prob_grad,
     mean_first_position_mass,
@@ -654,52 +654,50 @@ def _worker_threads():
 def test_probe_rows_match_the_sequential_probe(world, updates, monkeypatch):
     """Row k's cold mass, probed on the next step's snapshot in the worker
     thread (or directly, for the last step), is the probe of the parameters
-    a k+1-step run ends with. A short switch interval interleaves the two
-    threads as finely as the interpreter allows. With a probe that returns
-    at once the worker draws most steps; with one delayed until the next
-    step has moved the live parameters, the steps draw for themselves. Step
-    0 always draws on the main thread and step 1 on the worker, and every
-    run gives the same records."""
+    a k+1-step run ends with. Step 0 is drawn on the main thread and every
+    later step once, in order, on the worker, even with a probe slower than
+    a step. Step k samples from the block step k was drawn into, and steps
+    alternate between two blocks."""
     config = small_config(
         total_steps=4, updates_per_snapshot=updates, learning_rate=1.0, checkpoint_every=2
     )
     cold = np.array(sorted(world.catalog.cold_items), dtype=np.intp)
-    delay = 0.0
-    drawn_on = set()
+    drawn_on, drawn_into, sampled_from = [], [], []
 
-    def timed_probe(*args):
-        time.sleep(delay)
+    def slow_probe(*args):
+        time.sleep(0.01)
         return mean_first_position_mass(*args)
 
-    def traced_draw(*args):
-        drawn_on.add(threading.current_thread().name.split("_")[0])
-        return _draw_step(*args)
+    def traced_draw(rng, log_noise, *args):
+        drawn_on.append(threading.current_thread().name.split("_")[0])
+        drawn_into.append(log_noise.ctypes.data)
+        return _draw_step(rng, log_noise, *args)
 
-    monkeypatch.setattr(trainer, "mean_first_position_mass", timed_probe)
+    def traced_sample(scores, slate_length, log_noise):
+        sampled_from.append(log_noise.ctypes.data)
+        return gumbel_top_k(scores, slate_length, log_noise)
+
+    monkeypatch.setattr(trainer, "mean_first_position_mass", slow_probe)
     monkeypatch.setattr(trainer, "_draw_step", traced_draw)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = []
-        for delay in (0.0, 0.01):
-            drawn_on.clear()
-            full = train(config, world).report.records
-            assert drawn_on == {"MainThread", "sagerec-worker"}
-            assert train(replace(config, total_steps=0), world).report.records == []
-            for k in range(config.total_steps):
-                short = train(replace(config, total_steps=k + 1), world)
-                assert short.report.records[k].cold_mass == mean_first_position_mass(short.params, cold)
-                assert short.report.records == full[: k + 1]
-            runs.append(full)
-        assert runs[0] == runs[1]
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(trainer, "_sample_slates", traced_sample)
+    full = train(config, world).report.records
+    assert drawn_on == ["MainThread"] + ["sagerec-worker"] * (config.total_steps - 1)
+    assert sampled_from == drawn_into
+    assert drawn_into[0] != drawn_into[1]
+    assert drawn_into == drawn_into[:2] * (config.total_steps // 2)
+    drawn_on.clear()
+    assert train(replace(config, total_steps=0), world).report.records == []
+    assert drawn_on == []
+    for k in range(config.total_steps):
+        short = train(replace(config, total_steps=k + 1), world)
+        assert short.report.records[k].cold_mass == mean_first_position_mass(short.params, cold)
+        assert short.report.records == full[: k + 1]
 
 
 def test_train_joins_the_probe_thread_on_return_and_on_abort(world, monkeypatch):
-    """An abort while the worker is still probing, or in the worker's draw
-    of the next step, keeps its step, and no worker thread outlives
-    ``train``."""
+    """An abort in a step while the worker is still probing keeps that step;
+    a failure in the worker's job carries the step beside which the job ran.
+    No worker thread outlives ``train``."""
     train(small_config(total_steps=3), world)
     assert _worker_threads() == []
 
@@ -725,15 +723,29 @@ def test_train_joins_the_probe_thread_on_return_and_on_abort(world, monkeypatch)
     assert _worker_threads() == []
     monkeypatch.undo()
 
-    # Nothing is probed during step 0, so the worker always draws step 1,
-    # and its failure surfaces when step 1 takes the draws.
+    # The i-th draw is step i's; the worker makes step bad_step + 1's beside step bad_step.
+    draws = []
+
     def failing_draw(*args):
-        if threading.current_thread() is not threading.main_thread():
+        draws.append(threading.current_thread().name)
+        if len(draws) == bad_step + 2:
             raise NumericAbort("injected draw")
         return _draw_step(*args)
 
     monkeypatch.setattr(trainer, "_draw_step", failing_draw)
     with pytest.raises(NumericAbort, match="injected draw") as info:
+        train(small_config(total_steps=5), world)
+    assert info.value.step == bad_step
+    assert draws[-1].startswith("sagerec-worker")
+    assert _worker_threads() == []
+    monkeypatch.undo()
+
+    # Step t's job probes step t - 1 first, so the first probe runs beside step 1.
+    def failing_probe(*args):
+        raise NumericAbort("injected probe")
+
+    monkeypatch.setattr(trainer, "mean_first_position_mass", failing_probe)
+    with pytest.raises(NumericAbort, match="injected probe") as info:
         train(small_config(total_steps=5), world)
     assert info.value.step == 1
     assert _worker_threads() == []
