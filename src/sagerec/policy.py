@@ -355,21 +355,24 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> PolicyParams:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or payload.get("kind") != "policy_checkpoint":
-        raise ValueError(f"{path}: not a policy checkpoint")
+    """Read a checkpoint; every malformed file is a ``ValueError`` naming ``path``."""
     try:
+        payload = json.loads(Path(path).read_bytes())
+        if not isinstance(payload, dict) or payload.get("kind") != "policy_checkpoint":
+            raise ValueError("not a policy checkpoint")
         params = PolicyParams(
             user_embeddings=np.array(payload["user_embeddings"], dtype=np.float64),
             item_embeddings=np.array(payload["item_embeddings"], dtype=np.float64),
             item_bias=np.array(payload["item_bias"], dtype=np.float64),
             seed=int(payload["seed"]),
         )
+        params.validate()
         expected = (payload["n_users"], payload["n_items"], payload["d"])
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from exc
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if (params.n_users, params.n_items, params.d) != tuple(expected):
         raise ValueError(f"{path}: checkpoint dimensions inconsistent with matrices")
-    params.validate()
     return params
 

@@ -474,10 +474,11 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or payload.get("kind") != "catalog":
-        raise ValueError(f"{path}: not a catalog file")
+    """Read a catalog file; every malformed file is a ``ValueError`` naming ``path``."""
     try:
+        payload = json.loads(Path(path).read_bytes())
+        if not isinstance(payload, dict) or payload.get("kind") != "catalog":
+            raise ValueError("not a catalog file")
         return Catalog(
             n_subcats=int(payload["n_subcats"]),
             categories=np.asarray(payload["categories"], dtype=np.int64),
@@ -486,5 +487,5 @@ def load_catalog(path: str | Path) -> Catalog:
         ).with_cold_items(frozenset(payload["cold_items"]))
     except KeyError as exc:
         raise ValueError(f"{path}: catalog lacks {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

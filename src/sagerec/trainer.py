@@ -160,16 +160,11 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class GradientResult:
-    """Batch gradient plus the scalar diagnostics the step record needs."""
+    """One pass's batch gradient and its (B*G,) per-slate sequence ratios and coefficients."""
 
     gradient: PolicyGradient
-    advantage_mean: float
-    advantage_std: float
-    coef_pos_mean: float | None
-    coef_neg_mean: float | None
-    ratio_min: float
-    ratio_max: float
-    n_slates: int
+    ratios: np.ndarray
+    coefficients: np.ndarray
 
 
 class NumericAbort(RuntimeError):
@@ -330,7 +325,8 @@ def compute_gradient(
     optimizer's coefficient, and the analytic per-item-averaged log-prob
     gradient, accumulated with one weight vector per user group. A list of
     batches is joined with :meth:`StepBatch.concat`. A batch without a scan is
-    rescored under ``params``; ``advantages`` default to the batch's own.
+    rescored under ``params``; ``advantages`` default to the batch's own. The
+    result keeps the pass's per-slate ratios and coefficients unreduced.
     """
     config = config.resolve()
     if not isinstance(batch, StepBatch):
@@ -365,24 +361,13 @@ def compute_gradient(
         raise NumericAbort("non-finite bound coefficient")
 
     w = scan.weights((coefs * advantages / (L * S)).reshape(B, G))
-    grad = PolicyGradient.zeros_like(params)
-    grad.item_bias[:] = w.sum(axis=0)
-    grad.item_embeddings[:] = w.T @ params.user_embeddings[batch.users]
-    np.add.at(grad.user_embeddings, batch.users, w @ params.item_embeddings)
+    # Only the user rows accumulate, so only they start from zeros.
+    user_grad = np.zeros_like(params.user_embeddings)
+    np.add.at(user_grad, batch.users, w @ params.item_embeddings)
+    grad = PolicyGradient(user_grad, w.T @ params.user_embeddings[batch.users], w.sum(axis=0))
     if not grad.all_finite():
         raise NumericAbort("non-finite gradient")
-
-    pos = advantages >= 0
-    return GradientResult(
-        gradient=grad,
-        advantage_mean=float(advantages.mean()),
-        advantage_std=float(advantages.std()),
-        coef_pos_mean=float(coefs[pos].mean()) if pos.any() else None,
-        coef_neg_mean=float(coefs[~pos].mean()) if (~pos).any() else None,
-        ratio_min=float(ratios.min()),
-        ratio_max=float(ratios.max()),
-        n_slates=S,
-    )
+    return GradientResult(grad, ratios, coefs)
 
 
 def apply_update(
@@ -456,11 +441,15 @@ class ExperimentReport:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "ExperimentReport":
+        """Read a report; a row that is not a ``StepRecord`` is a ``ValueError`` at ``path:line``."""
         records = []
-        with open(path) as fh:
-            for line in fh:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
                 if line.strip():
-                    records.append(StepRecord.from_dict(json.loads(line)))
+                    try:
+                        records.append(StepRecord.from_dict(json.loads(line)))
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return cls(records=records)
 
 
@@ -517,8 +506,10 @@ def train(config: TrainConfig, world: World) -> TrainResult:
 
     Step order: snapshot, collect the user batch and its advantages, run the
     configured number of gradient updates against the snapshot, fold the
-    batch-mean slate entropy into the tracker, then record diagnostics (and
-    checkpoint metrics when due). A :class:`NumericAbort` carries its step.
+    batch-mean slate entropy into the tracker, then record the step's
+    statistics once (the advantages' mean and std, and the last update's
+    coefficient means over the nonnegative- and negative-advantage slates)
+    and, when due, checkpoint metrics. A :class:`NumericAbort` carries its step.
 
     Step 0 is drawn before the loop. At the top of step t, after the
     snapshot, the one worker thread gets one job: probe step t-1's cold mass
@@ -584,13 +575,14 @@ def train(config: TrainConfig, world: World) -> TrainResult:
             except NumericAbort as exc:
                 exc.step = step
                 raise
+            pos, coefs = advantages >= 0, result.coefficients
             pending = dict(
                 step=step,
                 mean_entropy=batch_entropy,
-                advantage_mean=result.advantage_mean,
-                advantage_std=result.advantage_std,
-                coef_pos_mean=result.coef_pos_mean,
-                coef_neg_mean=result.coef_neg_mean,
+                advantage_mean=float(advantages.mean()),
+                advantage_std=float(advantages.std()),
+                coef_pos_mean=float(coefs[pos].mean()) if pos.any() else None,
+                coef_neg_mean=float(coefs[~pos].mean()) if (~pos).any() else None,
                 eval=eval_metrics,
             )
     if pending is not None:

@@ -20,11 +20,22 @@ from sagerec import simenv, trainer
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _wrapped():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
+
+
+def _wrapped():
+    return _tracing().WRAPPED
+
+
+def _small_world():
+    small = simenv.WorldConfig(
+        n_items=30, n_subcats=5, n_users=10, n_pretrain_interactions=500, n_relevant=5
+    )
+    return simenv.build_world(small, seed=0)
 
 
 def test_every_traced_attribute_exists():
@@ -39,10 +50,7 @@ def test_every_traced_attribute_exists():
 
 def test_a_failure_in_train_shows_its_step_local(monkeypatch):
     """The harness finds a failure's step as the ``step`` local of ``train``'s frame."""
-    small = simenv.WorldConfig(
-        n_items=30, n_subcats=5, n_users=10, n_pretrain_interactions=500, n_relevant=5
-    )
-    world = simenv.build_world(small, seed=0)
+    world = _small_world()
     calls = []
 
     def failing_update(*args):
@@ -62,3 +70,17 @@ def test_a_failure_in_train_shows_its_step_local(monkeypatch):
         if frame.f_code is trainer.train.__code__
     ]
     assert steps == [2]
+
+
+def test_trace_classifies_each_pass():
+    """The first pass of a step reuses the collection's scan; the later ones rescore users."""
+    world = _small_world()
+    tracer = _tracing().Tracer()
+    config = trainer.TrainConfig(
+        group_size=4, users_per_step=4, total_steps=4, slate_length=3, updates_per_snapshot=3
+    )
+    with tracer.install():
+        trainer.train(config, world)
+    assert tracer.calls["trainer.gradient_onpolicy"] == 4
+    assert tracer.calls["trainer.gradient_offpolicy"] == 8
+    assert tracer.calls["bounds.coefficient"] == 12

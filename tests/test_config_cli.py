@@ -528,13 +528,23 @@ def test_eval_with_catalog_enables_diversity_metrics(tmp_path, capsys):
         (lambda p: {k: v for k, v in p.items() if k != "quality"}, "catalog lacks quality"),
         (lambda p: [p], "not a catalog file"),
         (lambda p: {**p, "cold_items": [3, 10]}, "cold ids out of range: [10]"),
+        (
+            lambda p: b"{not json",
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (
+            lambda p: b"\xff{}",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
     ],
-    ids=["missing-key", "list", "cold-id-out-of-range"],
+    ids=["missing-key", "list", "cold-id-out-of-range", "not-json", "not-utf8"],
 )
 def test_eval_rejects_a_malformed_catalog(tmp_path, capsys, edit, message):
+    """``edit`` maps the saved payload to a new payload or to the file's raw bytes."""
     catalog_path = tmp_path / "catalog.json"
     save_catalog(generate_catalog(10, 3, 1.0, 0.2, seed=0), catalog_path)
-    catalog_path.write_text(json.dumps(edit(json.loads(catalog_path.read_text()))))
+    edited = edit(json.loads(catalog_path.read_text()))
+    catalog_path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
     recs = tmp_path / "recs.csv"
     recs.write_text("user_id,rank,item_id\n0,1,3\n")
     truth = tmp_path / "truth.csv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -261,21 +262,35 @@ def test_load_checkpoint_rejects_foreign_json(tmp_path):
         load_checkpoint(path)
 
 
+def _ragged(p):
+    rows = p["user_embeddings"]
+    return {**p, "user_embeddings": [rows[0], rows[1][:2], rows[2]]}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda p: [p], "not a policy checkpoint"),
         (lambda p: {k: v for k, v in p.items() if k != "item_bias"}, "checkpoint lacks item_bias"),
+        (lambda p: b"{not json", r"Expecting property name .*"),
+        (lambda p: b"\xff{}", r"'utf-8' codec can't decode byte 0xff .*"),
+        (_ragged, r"setting an array element with a sequence.*"),
+        (lambda p: {**p, "item_bias": ["a"] * 5}, r"could not convert string to float: 'a'"),
+        (lambda p: {**p, "item_embeddings": [[{}] * 4] * 5}, r"float\(\) argument must be .*"),
+        (lambda p: {**p, "user_embeddings": None}, r"embedding matrices must be 2-D"),
+        (lambda p: {**p, "item_bias": [None] * 5}, r"non-finite entries in item_bias"),
     ],
-    ids=["list", "missing-key"],
+    ids=["list", "missing-key", "not-json", "not-utf8", "ragged", "string", "object", "null", "nan"],
 )
 def test_load_checkpoint_rejects_a_malformed_payload(tmp_path, edit, message):
+    """``edit`` maps the saved payload to a new payload or to the file's raw bytes."""
     path = tmp_path / "policy.json"
     save_checkpoint(init_policy(3, 5, 4, seed=21), path)
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    edited = edit(json.loads(path.read_text()))
+    path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(info.value) == f"{path}: {message}"
+    assert re.fullmatch(re.escape(f"{path}: ") + message, str(info.value))
 
 
 def test_gradient_container_helpers():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import threading
 import time
 from dataclasses import replace
@@ -258,9 +259,9 @@ def test_compute_gradient_matches_reference(world):
         result = compute_gradient(groups, params, frozen, cfg, tracker)
         expected = reference_gradient(groups, params, cfg, tracker)
         assert grads_close(result.gradient, expected)
-        assert result.n_slates == 12
+        assert result.ratios.shape == result.coefficients.shape == (12,)
         # On-policy: every ratio is exactly 1.
-        assert result.ratio_min == 1.0 and result.ratio_max == 1.0
+        assert np.all(result.ratios == 1.0)
 
 
 def test_compute_gradient_matches_reference_off_policy(world):
@@ -276,7 +277,7 @@ def test_compute_gradient_matches_reference_off_policy(world):
         result = compute_gradient(groups, params, frozen, cfg, tracker)
         expected = reference_gradient(groups, params, cfg, tracker)
         assert grads_close(result.gradient, expected)
-        assert result.ratio_max > result.ratio_min
+        assert result.ratios.max() > result.ratios.min()
 
 
 def user_batches(batch):
@@ -297,16 +298,8 @@ def user_batches(batch):
 def assert_results_identical(a, b):
     for name in ("item_bias", "item_embeddings", "user_embeddings"):
         assert np.array_equal(getattr(a.gradient, name), getattr(b.gradient, name))
-    for name in (
-        "advantage_mean",
-        "advantage_std",
-        "coef_pos_mean",
-        "coef_neg_mean",
-        "ratio_min",
-        "ratio_max",
-        "n_slates",
-    ):
-        assert getattr(a, name) == getattr(b, name), name
+    assert np.array_equal(a.ratios, b.ratios)
+    assert np.array_equal(a.coefficients, b.coefficients)
 
 
 batch_shapes = dict(
@@ -397,6 +390,9 @@ def test_batch_path_equals_group_adapter(
         batch.rewards[:] = 1.0
     groups = user_batches(batch)
     advantages = _batch_advantages(batch.rewards, config.resolve())
+    # The adapter's default advantages are the step's.
+    concat_rewards = StepBatch.concat(groups).rewards
+    assert np.array_equal(_batch_advantages(concat_rewards, config.resolve()), advantages)
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.0)
     state = OptimizerState()
     for _ in range(updates):
@@ -433,8 +429,7 @@ def test_on_policy_optimizers_agree(world):
             results[name].gradient.item_embeddings,
             atol=1e-12,
         )
-    assert results["sage"].coef_pos_mean == 1.0
-    assert results["sage"].coef_neg_mean == 1.0
+    assert np.all(results["sage"].coefficients == 1.0)
 
 
 def hand_params():
@@ -490,9 +485,9 @@ def test_boost_lifts_a_winning_cold_item_beyond_gbpo():
     before = mean_first_position_mass(hand_params(), cold)
     sage, sage_params = one_step(batch, "sage-no-entropy", EntropyTracker(), advantages)
     gbpo, gbpo_params = one_step(batch, "gbpo", EntropyTracker(), advantages)
-    assert sage.ratio_max == pytest.approx(1.2) and sage.ratio_min == 1.0
-    assert sage.coef_pos_mean == pytest.approx(1.2) and gbpo.coef_pos_mean == 1.0
-    assert sage.coef_neg_mean == gbpo.coef_neg_mean == 1.0
+    assert sage.ratios[0] == pytest.approx(1.2) and sage.ratios[1] == 1.0
+    assert sage.coefficients[0] == pytest.approx(1.2) and sage.coefficients[1] == 1.0
+    assert gbpo.coefficients.tolist() == [1.0, 1.0]
     assert_one_slate_apart(sage.gradient, gbpo.gradient, 1.2, items, 1.0)
     sage_rise = mean_first_position_mass(sage_params, cold) - before
     gbpo_rise = mean_first_position_mass(gbpo_params, cold) - before
@@ -513,9 +508,9 @@ def test_penalty_pushes_a_homogeneous_loser_down_beyond_gbpo():
     before, _ = slate_log_prob(hand_params(), 0, items)
     sage, sage_params = one_step(batch, "sage-no-boost", tracker, advantages)
     gbpo, gbpo_params = one_step(batch, "gbpo", tracker, advantages)
-    assert sage.ratio_min == sage.ratio_max == 1.0
-    assert sage.coef_neg_mean == pytest.approx(1.3) and gbpo.coef_neg_mean == 1.0
-    assert sage.coef_pos_mean == gbpo.coef_pos_mean == 1.0
+    assert sage.ratios.tolist() == [1.0, 1.0]
+    assert sage.coefficients[0] == pytest.approx(1.3) and sage.coefficients[1] == 1.0
+    assert gbpo.coefficients.tolist() == [1.0, 1.0]
     assert_one_slate_apart(sage.gradient, gbpo.gradient, 1.3, items, -1.0)
     sage_fall = before - slate_log_prob(sage_params, 0, items)[0]
     gbpo_fall = before - slate_log_prob(gbpo_params, 0, items)[0]
@@ -532,7 +527,8 @@ def test_constant_rewards_give_zero_gradient(world):
     assert np.all(result.gradient.item_bias == 0.0)
     assert np.all(result.gradient.item_embeddings == 0.0)
     assert np.all(result.gradient.user_embeddings == 0.0)
-    assert result.advantage_mean == 0.0
+    assert not np.any(_batch_advantages(StepBatch.concat(flat).rewards, config))
+    assert np.all(result.ratios == 1.0) and np.all(result.coefficients == 1.0)
 
 
 def test_compute_gradient_rejects_corrupt_logps(world):
@@ -556,9 +552,9 @@ def test_underflowed_ratios_give_finite_gradients(world):
     for optimizer in ("sage", "gbpo", "grpo"):
         cfg = replace(config, optimizer=optimizer)
         result = compute_gradient(groups, params, frozen, cfg, EntropyTracker(decay=0.99))
-        assert result.ratio_max == 0.0
+        assert not np.any(result.ratios)
         assert result.gradient.all_finite()
-        assert result.coef_pos_mean == 0.0 and result.coef_neg_mean == 0.0
+        assert not np.any(result.coefficients)
 
 
 def test_compute_gradient_validates_batch(world):
@@ -624,6 +620,35 @@ def test_train_later_updates_rescore_the_moved_policy(world):
     """Only the first update reuses the collection's scan; later ones see ratios off 1."""
     result = train(small_config(total_steps=4, updates_per_snapshot=3, learning_rate=1.0), world)
     assert any(r.coef_pos_mean not in (None, 1.0) for r in result.report.records)
+
+
+def test_report_statistics_are_the_steps(world, monkeypatch):
+    """Advantage statistics are the step's; coefficient means are its last pass's."""
+    passes = []
+
+    def spy(batch, params, frozen, config, tracker, advantages=None):
+        result = real(batch, params, frozen, config, tracker, advantages)
+        passes.append((advantages, result))
+        return result
+
+    real = trainer.compute_gradient
+    monkeypatch.setattr(trainer, "compute_gradient", spy)
+    config = small_config(total_steps=4, updates_per_snapshot=3, learning_rate=1.0)
+    records = train(config, world).report.records
+    assert len(passes) == 3 * len(records) == 12
+    moved = False
+    for record, step in zip(records, range(0, len(passes), 3)):
+        advantages, first = passes[step]
+        last = passes[step + 2][1]
+        assert all(a is advantages for a, _ in passes[step : step + 3])
+        assert record.advantage_mean == float(advantages.mean())
+        assert record.advantage_std == float(advantages.std())
+        pos = advantages >= 0
+        for mean, mask in ((record.coef_pos_mean, pos), (record.coef_neg_mean, ~pos)):
+            assert mean == (float(last.coefficients[mask].mean()) if mask.any() else None)
+            moved |= mask.any() and mean != float(first.coefficients[mask].mean())
+    # The last pass differs from the first somewhere, so the check tells them apart.
+    assert moved
 
 
 @pytest.mark.parametrize("n_users", [None, 10])
@@ -787,6 +812,25 @@ def test_report_jsonl_roundtrip(world, tmp_path):
     result.report.save_jsonl(path)
     loaded = ExperimentReport.load_jsonl(path)
     assert loaded.records == result.report.records
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{not json", r"Expecting property name .*"),
+        ('{"step": 0, "bogus": 1}', r".*unexpected keyword argument 'bogus'"),
+        ('{"step": 0}', r".*missing \d+ required positional arguments.*"),
+        ("[1, 2]", r".*must be a mapping.*"),
+    ],
+    ids=["not-json", "unknown-key", "missing-keys", "not-an-object"],
+)
+def test_report_jsonl_rejects_a_malformed_row_at_its_line(world, tmp_path, row, message):
+    path = tmp_path / "report.jsonl"
+    train(small_config(total_steps=2), world).report.save_jsonl(path)
+    path.write_text(path.read_text() + "\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        ExperimentReport.load_jsonl(path)
+    assert re.fullmatch(re.escape(f"{path}:4: ") + message, str(info.value))
 
 
 def test_step_record_roundtrip():
