@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 CHECKPOINT_SCHEMA_VERSION = 1
+# The parameter arrays, in field order.
+ARRAY_NAMES = ("user_embeddings", "item_embeddings", "item_bias")
 
 
 @dataclass
@@ -57,7 +59,7 @@ class PolicyParams:
             )
         if self.item_bias.shape != (self.n_items,):
             raise ValueError("item_bias shape does not match item count")
-        for name in ("user_embeddings", "item_embeddings", "item_bias"):
+        for name in ARRAY_NAMES:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite entries in {name}")
 
@@ -72,18 +74,10 @@ class PolicyGradient:
 
     @classmethod
     def zeros_like(cls, params: PolicyParams) -> "PolicyGradient":
-        return cls(
-            user_embeddings=np.zeros_like(params.user_embeddings),
-            item_embeddings=np.zeros_like(params.item_embeddings),
-            item_bias=np.zeros_like(params.item_bias),
-        )
+        return cls(*(np.zeros_like(getattr(params, name)) for name in ARRAY_NAMES))
 
     def all_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.user_embeddings))
-            and np.all(np.isfinite(self.item_embeddings))
-            and np.all(np.isfinite(self.item_bias))
-        )
+        return all(np.all(np.isfinite(getattr(self, name))) for name in ARRAY_NAMES)
 
 
 def init_policy(
@@ -210,7 +204,7 @@ class SlateScan:
         return w
 
 
-def _check_items(params: PolicyParams, items) -> tuple[int, ...]:
+def _scan_one(params: PolicyParams, user: int, items) -> SlateScan:
     items = tuple(int(i) for i in items)
     if len(items) == 0:
         raise ValueError("empty item sequence")
@@ -219,34 +213,7 @@ def _check_items(params: PolicyParams, items) -> tuple[int, ...]:
     for i in items:
         if not 0 <= i < params.n_items:
             raise ValueError(f"item id {i} out of range")
-    return items
-
-
-def _scan_one(params: PolicyParams, user: int, items) -> SlateScan:
-    items = _check_items(params, items)
     return SlateScan(user_scores(params, user)[None, :], np.array([[items]]))
-
-
-def next_item_distribution(
-    params: PolicyParams, user: int, prefix=()
-) -> np.ndarray:
-    """Probability of each item at the next slate position.
-
-    The returned vector has one entry per catalog item, is exactly zero on
-    prefix items, and sums to 1 over the rest: the plain masked softmax.
-    """
-    prefix = tuple(int(i) for i in prefix)
-    if len(set(prefix)) != len(prefix):
-        raise ValueError("prefix contains repeated items")
-    if len(prefix) >= params.n_items:
-        raise RuntimeError("prefix exhausts the catalog; no next item exists")
-    masked = user_scores(params, user)
-    for i in prefix:
-        if not 0 <= i < params.n_items:
-            raise ValueError(f"prefix item id {i} out of range")
-        masked[i] = -np.inf
-    probs = np.exp(masked - masked.max())
-    return probs / probs.sum()
 
 
 def slate_log_prob(
@@ -279,14 +246,9 @@ def snapshot(params: PolicyParams) -> PolicyParams:
     Nothing can write to it, so another thread may read it while training
     updates ``params``.
     """
-    frozen = PolicyParams(
-        user_embeddings=params.user_embeddings.copy(),
-        item_embeddings=params.item_embeddings.copy(),
-        item_bias=params.item_bias.copy(),
-        seed=params.seed,
-    )
-    for arr in (frozen.user_embeddings, frozen.item_embeddings, frozen.item_bias):
-        arr.setflags(write=False)
+    frozen = PolicyParams(*(getattr(params, name).copy() for name in ARRAY_NAMES), seed=params.seed)
+    for name in ARRAY_NAMES:
+        getattr(frozen, name).setflags(write=False)
     return frozen
 
 
@@ -338,8 +300,19 @@ def mean_first_position_mass(
     return float(mass.mean())
 
 
+# Values per block of a checkpoint array: encoding a block holds about 160
+# bytes per value at once, so a block stays near 0.7 MB at any catalog size.
+_BLOCK_VALUES = 2**12
+
+
 def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
-    """Write parameters to a self-describing JSON checkpoint."""
+    """Write parameters to a self-describing JSON checkpoint.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True)``, but each
+    array is encoded a block of rows at a time, so no copy of the whole payload
+    exists. The scalars are encoded before the file is opened: one that JSON
+    cannot encode raises before an existing file is truncated.
+    """
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "kind": "policy_checkpoint",
@@ -347,11 +320,36 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
         "n_items": params.n_items,
         "d": params.d,
         "seed": params.seed,
-        "user_embeddings": params.user_embeddings.tolist(),
-        "item_embeddings": params.item_embeddings.tolist(),
-        "item_bias": params.item_bias.tolist(),
+        **{name: getattr(params, name) for name in ARRAY_NAMES},
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    text = {k: json.dumps(v) for k, v in payload.items() if not isinstance(v, np.ndarray)}
+    with open(path, "w") as fh:
+        for i, key in enumerate(sorted(payload)):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key in text:
+                fh.write(text[key])
+                continue
+            arr = payload[key]
+            rows = max(1, _BLOCK_VALUES // max(1, arr[:1].size))
+            fh.write("[")
+            for start in range(0, len(arr), rows):
+                block = json.dumps(arr[start : start + rows].tolist())[1:-1]
+                fh.write(", " + block if start else block)
+            fh.write("]")
+        fh.write("}")
+
+
+def json_integers(payload: dict, version: int, *keys: str) -> list[int]:
+    """Check that ``schema_version`` is ``version``; return the integers at ``keys``.
+
+    ``1.0`` and ``true`` compare equal to 1, but are refused, not coerced.
+    """
+    for key in ("schema_version", *keys):
+        if type(payload[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {json.dumps(payload[key])}")
+    if payload["schema_version"] != version:
+        raise ValueError(f"schema_version {payload['schema_version']} is not {version}")
+    return [payload[key] for key in keys]
 
 
 def load_checkpoint(path: str | Path) -> PolicyParams:
@@ -360,14 +358,12 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
         payload = json.loads(Path(path).read_bytes())
         if not isinstance(payload, dict) or payload.get("kind") != "policy_checkpoint":
             raise ValueError("not a policy checkpoint")
-        params = PolicyParams(
-            user_embeddings=np.array(payload["user_embeddings"], dtype=np.float64),
-            item_embeddings=np.array(payload["item_embeddings"], dtype=np.float64),
-            item_bias=np.array(payload["item_bias"], dtype=np.float64),
-            seed=int(payload["seed"]),
+        *expected, seed = json_integers(
+            payload, CHECKPOINT_SCHEMA_VERSION, "n_users", "n_items", "d", "seed"
         )
+        arrays = [np.array(payload[name], dtype=np.float64) for name in ARRAY_NAMES]
+        params = PolicyParams(*arrays, seed=seed)
         params.validate()
-        expected = (payload["n_users"], payload["n_items"], payload["d"])
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from exc
     except (OverflowError, TypeError, ValueError) as exc:
@@ -375,4 +371,3 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     if (params.n_users, params.n_items, params.d) != tuple(expected):
         raise ValueError(f"{path}: checkpoint dimensions inconsistent with matrices")
     return params
-

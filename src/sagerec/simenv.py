@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import top_k_ids
+from .policy import json_integers
 
 CATALOG_SCHEMA_VERSION = 1
 
@@ -479,12 +480,16 @@ def load_catalog(path: str | Path) -> Catalog:
         payload = json.loads(Path(path).read_bytes())
         if not isinstance(payload, dict) or payload.get("kind") != "catalog":
             raise ValueError("not a catalog file")
+        (n_subcats,) = json_integers(payload, CATALOG_SCHEMA_VERSION, "n_subcats")
+        cold = payload["cold_items"]
+        if not isinstance(cold, list) or any(type(i) is not int for i in cold):
+            raise ValueError("cold_items must be a list of integer ids")
         return Catalog(
-            n_subcats=int(payload["n_subcats"]),
+            n_subcats=n_subcats,
             categories=np.asarray(payload["categories"], dtype=np.int64),
             quality=np.asarray(payload["quality"], dtype=np.float64),
             popularity=np.asarray(payload["popularity"], dtype=np.float64),
-        ).with_cold_items(frozenset(payload["cold_items"]))
+        ).with_cold_items(frozenset(cold))
     except KeyError as exc:
         raise ValueError(f"{path}: catalog lacks {exc.args[0]}") from exc
     except (OverflowError, TypeError, ValueError) as exc:

@@ -536,8 +536,28 @@ def test_eval_with_catalog_enables_diversity_metrics(tmp_path, capsys):
             lambda p: b"\xff{}",
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
         ),
+        (lambda p: {**p, "schema_version": 2}, "schema_version 2 is not 1"),
+        (lambda p: {**p, "schema_version": None}, "schema_version must be an integer, got null"),
+        (lambda p: {**p, "n_subcats": 3.0}, "n_subcats must be an integer, got 3.0"),
+        (lambda p: {**p, "cold_items": {}}, "cold_items must be a list of integer ids"),
+        (lambda p: {**p, "cold_items": "ab"}, "cold_items must be a list of integer ids"),
+        (lambda p: {**p, "cold_items": [1.5]}, "cold_items must be a list of integer ids"),
+        (lambda p: {**p, "cold_items": [True]}, "cold_items must be a list of integer ids"),
     ],
-    ids=["missing-key", "list", "cold-id-out-of-range", "not-json", "not-utf8"],
+    ids=[
+        "missing-key",
+        "list",
+        "cold-id-out-of-range",
+        "not-json",
+        "not-utf8",
+        "schema-version-2",
+        "schema-version-null",
+        "n-subcats-float",
+        "cold-items-object",
+        "cold-items-string",
+        "cold-items-float",
+        "cold-items-bool",
+    ],
 )
 def test_eval_rejects_a_malformed_catalog(tmp_path, capsys, edit, message):
     """``edit`` maps the saved payload to a new payload or to the file's raw bytes."""

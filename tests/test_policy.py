@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,18 +14,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sagerec.policy import (
+    _BLOCK_VALUES,
     PolicyGradient,
     PolicyParams,
     init_policy,
     load_checkpoint,
     log_prob_grad,
     mean_first_position_mass,
-    next_item_distribution,
     save_checkpoint,
     slate_log_prob,
     snapshot,
     user_scores,
 )
+
+
+def next_item_distribution(params: PolicyParams, user: int, prefix=()) -> np.ndarray:
+    """Probability of each item at the next slate position: the test oracle.
+
+    The returned vector has one entry per catalog item, is exactly zero on
+    prefix items, and sums to 1 over the rest: the plain masked softmax.
+    """
+    prefix = tuple(int(i) for i in prefix)
+    if len(set(prefix)) != len(prefix):
+        raise ValueError("prefix contains repeated items")
+    if len(prefix) >= params.n_items:
+        raise RuntimeError("prefix exhausts the catalog; no next item exists")
+    masked = user_scores(params, user)
+    for i in prefix:
+        if not 0 <= i < params.n_items:
+            raise ValueError(f"prefix item id {i} out of range")
+        masked[i] = -np.inf
+    probs = np.exp(masked - masked.max())
+    return probs / probs.sum()
 
 
 def zero_params(n_users: int = 2, n_items: int = 4, d: int = 3) -> PolicyParams:
@@ -255,6 +276,90 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _whole_payload_bytes(params: PolicyParams) -> bytes:
+    """The checkpoint as one ``json.dumps`` of the whole payload writes it."""
+    payload = {
+        "schema_version": 1,
+        "kind": "policy_checkpoint",
+        "n_users": params.n_users,
+        "n_items": params.n_items,
+        "d": params.d,
+        "seed": params.seed,
+        "user_embeddings": params.user_embeddings.tolist(),
+        "item_embeddings": params.item_embeddings.tolist(),
+        "item_bias": params.item_bias.tolist(),
+    }
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+# Row counts around the block size R of a (rows, d) array: R - 1, R, R + 1
+# and 2R + 3 rows end a block early, exactly, one row into the next block,
+# and three rows into the third. At d = 1, R is also item_bias's block.
+def _row_counts(d: int) -> list[int]:
+    rows = _BLOCK_VALUES // d
+    return [0, rows - 1, rows, rows + 1, 2 * rows + 3]
+
+
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([1, 16]),
+    user_index=st.integers(0, 4),
+    item_index=st.integers(0, 4),
+    special_share=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    seed=st.integers(-(2**70), 2**70),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@example(d=16, user_index=4, item_index=3, special_share=0.5, seed=0, data_seed=0)
+@example(d=1, user_index=0, item_index=4, special_share=0.01, seed=-1, data_seed=1)
+def test_checkpoint_bytes_equal_one_dump_of_the_payload(
+    tmp_path_factory, d, user_index, item_index, special_share, seed, data_seed
+):
+    """The block writer gives ``json.dumps(payload, sort_keys=True)``'s bytes at
+    every block boundary, with -0.0, subnormals, huge values, NaN and the
+    infinities, which the writer does not validate."""
+    rng = np.random.default_rng(data_seed)
+    n_users, n_items = _row_counts(d)[user_index], _row_counts(d)[item_index]
+    arrays = [rng.normal(0.0, 1.0, shape) for shape in ((n_users, d), (n_items, d), (n_items,))]
+    for arr in arrays:
+        special = rng.random(arr.shape) < special_share
+        arr[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    params = PolicyParams(*arrays, seed=seed)
+    path = tmp_path_factory.mktemp("ckpt") / "policy.json"
+    save_checkpoint(params, path)
+    assert path.read_bytes() == _whole_payload_bytes(params)
+
+
+def test_checkpoint_writer_holds_no_copy_of_the_payload(tmp_path):
+    """Saving a 20,000-item policy peaks below a quarter of the file it writes.
+
+    One ``json.dumps`` of the whole payload holds its nested lists, its string
+    and the string's encoded copy at once: several times the file's size.
+    """
+    params = init_policy(200, 20_000, 16, seed=3)
+    path = tmp_path / "policy.json"
+    tracemalloc.start()
+    try:
+        save_checkpoint(params, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+    assert path.read_bytes() == _whole_payload_bytes(params)
+
+
+def test_save_checkpoint_refuses_a_seed_json_cannot_encode_before_truncating(tmp_path):
+    path = tmp_path / "policy.json"
+    save_checkpoint(init_policy(3, 5, 4, seed=21), path)
+    before = path.read_bytes()
+    params = replace(init_policy(3, 5, 4, seed=21), seed=np.int64(21))
+    with pytest.raises(TypeError):
+        save_checkpoint(params, path)
+    assert path.read_bytes() == before
+
+
 def test_load_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"kind": "something_else"}')
@@ -279,8 +384,32 @@ def _ragged(p):
         (lambda p: {**p, "item_embeddings": [[{}] * 4] * 5}, r"float\(\) argument must be .*"),
         (lambda p: {**p, "user_embeddings": None}, r"embedding matrices must be 2-D"),
         (lambda p: {**p, "item_bias": [None] * 5}, r"non-finite entries in item_bias"),
+        (lambda p: {**p, "schema_version": 2}, r"schema_version 2 is not 1"),
+        (lambda p: {**p, "schema_version": "a"}, r'schema_version must be an integer, got "a"'),
+        (lambda p: {**p, "seed": 1.5}, r"seed must be an integer, got 1\.5"),
+        (lambda p: {**p, "seed": True}, r"seed must be an integer, got true"),
+        (lambda p: {**p, "n_users": 3.0}, r"n_users must be an integer, got 3\.0"),
+        (lambda p: {**p, "n_items": 5.0}, r"n_items must be an integer, got 5\.0"),
+        (lambda p: {**p, "d": True}, r"d must be an integer, got true"),
     ],
-    ids=["list", "missing-key", "not-json", "not-utf8", "ragged", "string", "object", "null", "nan"],
+    ids=[
+        "list",
+        "missing-key",
+        "not-json",
+        "not-utf8",
+        "ragged",
+        "string",
+        "object",
+        "null",
+        "nan",
+        "schema-version-2",
+        "schema-version-string",
+        "seed-float",
+        "seed-bool",
+        "n-users-float",
+        "n-items-float",
+        "d-bool",
+    ],
 )
 def test_load_checkpoint_rejects_a_malformed_payload(tmp_path, edit, message):
     """``edit`` maps the saved payload to a new payload or to the file's raw bytes."""

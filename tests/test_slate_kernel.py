@@ -2,7 +2,7 @@
 
 The kernel (``gumbel_top_k`` and ``SlateScan``) is checked against a plain
 position-by-position reference: the masked log-softmax for log-probs and
-``next_item_distribution`` for gradient weights.
+``test_policy``'s oracle ``next_item_distribution`` for gradient weights.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sagerec.metrics import top_k_ids
-from sagerec.policy import PolicyParams, SlateScan, gumbel_top_k, next_item_distribution
+from sagerec.policy import PolicyParams, SlateScan, gumbel_top_k
+from test_policy import next_item_distribution
 
 
 def _log_exp(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
