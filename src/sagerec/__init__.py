@@ -54,7 +54,7 @@ from .trainer import (
     StepRecord,
     TrainConfig,
     TrainResult,
-    collect_group,
+    collect_batch,
     compute_gradient,
     evaluate_policy,
     train,
@@ -83,7 +83,7 @@ __all__ = [
     "boundary_curve",
     "build_world",
     "cold_recall",
-    "collect_group",
+    "collect_batch",
     "compute_gradient",
     "decoupled_advantage",
     "entropy_at_k",

@@ -119,6 +119,8 @@ def list_entropy(slate_items, categories, base: float | None = None) -> float:
     cats = []
     for item in items:
         try:
+            if item < 0:  # an array would index it from its end
+                raise IndexError(item)
             cat = categories[item]
         except (KeyError, IndexError) as exc:
             raise ValueError(f"item {item} has no category label") from exc

@@ -39,6 +39,7 @@ from .bounds import grpo_clip_coefficients as grpo_clip_coefficient
 from .bounds import sage_coefficients as effective_coefficient
 from .metrics import RankedRecommendation, evaluate_rankings, top_k_ids
 from .policy import (
+    ARRAY_NAMES,
     PolicyGradient,
     PolicyParams,
     SlateScan,
@@ -191,14 +192,6 @@ class StepBatch:
     entropies: np.ndarray
     scan: SlateScan | None = None
 
-    @classmethod
-    def concat(cls, batches: list["StepBatch"]) -> "StepBatch":
-        """Join batches user after user; the result carries no scan."""
-        if not batches:
-            raise ValueError("empty batch")
-        names = ("users", "items", "logps", "rewards", "entropies")
-        return cls(**{n: np.concatenate([getattr(b, n) for b in batches]) for n in names})
-
 
 def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) -> np.ndarray:
     """Category entropy of every slate row, in nats."""
@@ -250,24 +243,26 @@ def _draw_step(
     return StepDraws(users, log_noise, uniforms, watch)
 
 
-def collect_group(
+def collect_batch(
     frozen: PolicyParams,
     world: World,
-    user: int,
+    users: np.ndarray,
     group_size: int,
     slate_length: int,
     rng: np.random.Generator,
 ) -> StepBatch:
-    """Sample G slates for one user from the frozen policy and score them.
+    """One step's draws and collection for the (B,) named users.
 
-    The one-row batch carries no scan: the caller may move the parameters
-    away from ``frozen`` before computing a gradient.
+    The batch carries no scan: the caller may move the parameters away from
+    ``frozen`` before computing a gradient.
     """
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    noise = np.empty((1, group_size, world.catalog.n_items))
+    if len(users) == 0:
+        raise ValueError("empty user batch")
+    noise = np.empty((len(users), group_size, world.catalog.n_items))
     draws = _draw_step(rng, noise, slate_length, world.config.feedback)
-    batch = _collect_batch(frozen, world, np.array([user]), draws)
+    batch = _collect_batch(frozen, world, users, draws)
     batch.scan = None
     return batch
 
@@ -311,26 +306,22 @@ def _batch_advantages(rewards: np.ndarray, config: TrainConfig) -> np.ndarray:
 
 
 def compute_gradient(
-    batch: StepBatch | list[StepBatch],
+    batch: StepBatch,
     params: PolicyParams,
-    frozen: PolicyParams,
     config: TrainConfig,
     tracker: EntropyTracker,
     advantages: np.ndarray | None = None,
 ) -> GradientResult:
     """Batch-mean ascent gradient of the bounded, advantage-weighted objective.
 
-    For every slate: the sequence ratio against the snapshot's log-probs (the
-    batch carries them, so ``frozen`` is not read), the advantage, the
-    optimizer's coefficient, and the analytic per-item-averaged log-prob
-    gradient, accumulated with one weight vector per user group. A list of
-    batches is joined with :meth:`StepBatch.concat`. A batch without a scan is
-    rescored under ``params``; ``advantages`` default to the batch's own. The
-    result keeps the pass's per-slate ratios and coefficients unreduced.
+    For every slate: the sequence ratio against the snapshot's log-probs,
+    which the batch carries, the advantage, the optimizer's coefficient, and
+    the analytic per-item-averaged log-prob gradient, accumulated with one
+    weight vector per user group. A batch without a scan is rescored under
+    ``params``; ``advantages`` default to the batch's own. The result keeps
+    the pass's per-slate ratios and coefficients unreduced.
     """
     config = config.resolve()
-    if not isinstance(batch, StepBatch):
-        batch = StepBatch.concat(batch)
     if advantages is None:
         advantages = _batch_advantages(batch.rewards, config)
     B, G, L = batch.items.shape
@@ -378,9 +369,8 @@ def apply_update(
 ) -> PolicyParams:
     """One ascent step, in place; plain SGD or bias-corrected adaptive moments."""
     lr = config.learning_rate
-    names = ("user_embeddings", "item_embeddings", "item_bias")
     if config.update_rule == "sgd":
-        for name in names:
+        for name in ARRAY_NAMES:
             getattr(params, name)[...] += lr * getattr(gradient, name)
     else:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -389,7 +379,7 @@ def apply_update(
             state.v = PolicyGradient.zeros_like(params)
         state.step += 1
         t = state.step
-        for name in names:
+        for name in ARRAY_NAMES:
             g = getattr(gradient, name)
             m = getattr(state.m, name)
             v = getattr(state.v, name)
@@ -398,7 +388,7 @@ def apply_update(
             m_hat = m / (1 - beta1**t)
             v_hat = v / (1 - beta2**t)
             getattr(params, name)[...] += lr * m_hat / (np.sqrt(v_hat) + eps)
-    for name in names:
+    for name in ARRAY_NAMES:
         if not np.all(np.isfinite(getattr(params, name))):
             raise NumericAbort(f"non-finite parameters in {name} after update")
     return params
@@ -522,6 +512,8 @@ def train(config: TrainConfig, world: World) -> TrainResult:
     config = config.resolve()
     if config.users_per_step > world.config.n_users:
         raise ValueError("users_per_step exceeds the world's user count")
+    if config.eval_k > world.catalog.n_items:
+        raise ValueError("eval_k exceeds the world's item count")
     ss = np.random.SeedSequence(config.seed)
     init_ss, run_ss = ss.spawn(2)
     init_seed = int(init_ss.generate_state(1)[0])
@@ -557,7 +549,7 @@ def train(config: TrainConfig, world: World) -> TrainResult:
                 batch = _collect_batch(frozen, world, draws.users, draws)
                 advantages = _batch_advantages(batch.rewards, config)
                 for _ in range(config.updates_per_snapshot):
-                    result = compute_gradient(batch, params, frozen, config, tracker, advantages)
+                    result = compute_gradient(batch, params, config, tracker, advantages)
                     # Only the first pass sees the snapshot's parameters.
                     batch.scan = None
                     params = apply_update(params, result.gradient, opt_state, config)

@@ -24,7 +24,7 @@ from sagerec.signals import (
     naive_advantage,
 )
 from sagerec.simenv import WorldConfig, build_world
-from sagerec.trainer import TrainConfig, collect_group, compute_gradient, train
+from sagerec.trainer import TrainConfig, collect_batch, compute_gradient, train
 
 # Trainer knobs for the dynamics criteria (6-8). The world stays at package
 # defaults; these strengthen per-update movement so the bound mechanisms are
@@ -200,15 +200,12 @@ def test_criterion_5_on_policy_identity():
         frozen = snapshot(params)
         rng = np.random.default_rng(1000 + batch_seed)
         users = rng.choice(world_cfg.n_users, size=4, replace=False)
-        groups = [
-            collect_group(frozen, world, int(u), base.group_size, base.slate_length, rng)
-            for u in users
-        ]
+        batch = collect_batch(frozen, world, users, base.group_size, base.slate_length, rng)
         grads = []
         for opt in ("sage", "gbpo", "grpo"):
             cfg = replace(base, optimizer=opt)
             tracker = EntropyTracker(decay=0.99)
-            g = compute_gradient(groups, params, frozen, cfg, tracker).gradient
+            g = compute_gradient(batch, params, cfg, tracker).gradient
             grads.append(g)
         for other in grads[1:]:
             worst = max(worst, float(np.max(np.abs(grads[0].user_embeddings - other.user_embeddings))))

@@ -81,6 +81,9 @@ def test_list_entropy_base_and_errors():
         list_entropy([], even4)
     with pytest.raises(ValueError):
         list_entropy([99], even4)
+    # A negative id must not wrap around to the array's last labels.
+    with pytest.raises(ValueError, match="item -1 has no category label"):
+        list_entropy([-1, 0], np.array([0, 1, 2]))
     with pytest.raises(ValueError):
         list_entropy([1], {0: 2})
 

@@ -112,6 +112,8 @@ def test_entropy_at_k_validation():
         entropy_at_k([], categories, 2)
     with pytest.raises(ValueError):
         entropy_at_k([rec([0, 5], {0})], categories, 2)
+    with pytest.raises(ValueError, match="item -1 has no category label"):
+        entropy_at_k([rec([0, -1], {0})], categories, 2)
 
 
 def test_ild_oracles():

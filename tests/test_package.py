@@ -6,9 +6,11 @@ import sagerec
 from sagerec import bounds, signals, simenv, trainer
 
 # Entry points that duplicated a rule or a container another public name
-# already gives: the scalar coefficient and ratio forms, and the per-user object.
+# already gives: the scalar coefficient and ratio forms, the per-user object,
+# and the one-user collector whose list of batches ``StepBatch.concat`` joined.
 REMOVED = (
     "UserModel",
+    "collect_group",
     "effective_coefficient",
     "gbpo_coefficient",
     "grpo_clip_coefficient",
@@ -29,6 +31,8 @@ def test_removed_names_are_gone():
         assert not hasattr(sagerec, name)
     assert not hasattr(simenv, "UserModel")
     assert not hasattr(signals, "sequence_ratio")
+    assert not hasattr(trainer, "collect_group")
+    assert not hasattr(trainer.StepBatch, "concat")
     for name in ("effective_coefficient", "gbpo_coefficient", "grpo_clip_coefficient"):
         assert not hasattr(bounds, name)
 

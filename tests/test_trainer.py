@@ -55,7 +55,7 @@ from sagerec.trainer import (
     _collect_batch,
     _draw_step,
     apply_update,
-    collect_group,
+    collect_batch,
     compute_gradient,
     evaluate_policy,
     rank_items,
@@ -107,62 +107,42 @@ def make_params(world, seed=3):
     )
 
 
-def collect(frozen, world, users, group_size, slate_length, rng):
-    """``_collect_batch`` on the draws a step makes once its users are drawn."""
-    noise = np.empty((len(users), group_size, world.catalog.n_items))
-    draws = _draw_step(rng, noise, slate_length, world.config.feedback)
-    return _collect_batch(frozen, world, users, draws)
-
-
-def collect_batch_groups(frozen, world, users, config, seed=5):
-    rng = np.random.default_rng(seed)
-    return [
-        collect_group(
-            frozen, world, u, config.group_size, config.slate_length, rng
-        )
-        for u in users
-    ]
-
-
-def reference_advantages(batches, cfg):
+def reference_advantages(batch, cfg):
     per = []
-    for batch in batches:
-        for rewards in batch.rewards:
-            if cfg.advantage_mode == "decoupled":
-                z = group_normalize(rewards, cfg.norm_eps)
-                per.append(decoupled_advantage(z, cfg.reward_weights))
-            else:
-                per.append(naive_advantage(rewards, cfg.reward_weights, cfg.norm_eps))
+    for rewards in batch.rewards:
+        if cfg.advantage_mode == "decoupled":
+            z = group_normalize(rewards, cfg.norm_eps)
+            per.append(decoupled_advantage(z, cfg.reward_weights))
+        else:
+            per.append(naive_advantage(rewards, cfg.reward_weights, cfg.norm_eps))
     return batch_normalize(np.concatenate(per), cfg.norm_eps)
 
 
-def reference_gradient(batches, params, config, tracker):
+def reference_gradient(batch, params, config, tracker):
     """Slate-by-slate re-derivation of the batch gradient from public pieces."""
     cfg = config.resolve()
     L = cfg.slate_length
-    entropies = np.concatenate([b.entropies for b in batches])
-    S = entropies.size
-    advantages = reference_advantages(batches, cfg)
+    S = batch.entropies.size
+    advantages = reference_advantages(batch, cfg)
     grad = PolicyGradient.zeros_like(params)
     idx = 0
-    for batch in batches:
-        for user, user_items, user_logps in zip(batch.users, batch.items, batch.logps):
-            for items, old_logps in zip(user_items, user_logps):
-                _, new_pp = slate_log_prob(params, int(user), items)
-                r = float(np.exp(np.mean(new_pp - old_logps)))
-                a = float(advantages[idx])
-                if cfg.optimizer == "sage":
-                    coef = sage_coefficients(r, a, float(entropies[idx]), tracker, cfg.bounds)
-                elif cfg.optimizer == "gbpo":
-                    coef = gbpo_coefficients(r)
-                else:
-                    coef = grpo_clip_coefficients(r, a, cfg.grpo_clip_eps)
-                lg = log_prob_grad(params, int(user), items)
-                scale = coef * a / (L * S)
-                grad.item_bias += scale * lg.item_bias
-                grad.item_embeddings += scale * lg.item_embeddings
-                grad.user_embeddings += scale * lg.user_embeddings
-                idx += 1
+    for user, user_items, user_logps in zip(batch.users, batch.items, batch.logps):
+        for items, old_logps in zip(user_items, user_logps):
+            _, new_pp = slate_log_prob(params, int(user), items)
+            r = float(np.exp(np.mean(new_pp - old_logps)))
+            a = float(advantages[idx])
+            if cfg.optimizer == "sage":
+                coef = sage_coefficients(r, a, float(batch.entropies[idx]), tracker, cfg.bounds)
+            elif cfg.optimizer == "gbpo":
+                coef = gbpo_coefficients(r)
+            else:
+                coef = grpo_clip_coefficients(r, a, cfg.grpo_clip_eps)
+            lg = log_prob_grad(params, int(user), items)
+            scale = coef * a / (L * S)
+            grad.item_bias += scale * lg.item_bias
+            grad.item_embeddings += scale * lg.item_embeddings
+            grad.user_embeddings += scale * lg.user_embeddings
+            idx += 1
     return grad
 
 
@@ -214,50 +194,63 @@ def test_resolve_ablation_aliases():
     assert base.resolve() is base
 
 
-def test_collect_group_contract(world):
+def test_collect_batch_contract(world):
     params = make_params(world)
     frozen = snapshot(params)
-    rng = np.random.default_rng(2)
-    group = collect_group(frozen, world, user=3, group_size=4, slate_length=3, rng=rng)
-    # The caller may move the parameters, so no scan of the snapshot is kept.
-    assert group.scan is None
-    assert group.users.tolist() == [3]
-    assert group.items.shape == group.logps.shape == (1, 4, 3)
-    assert group.rewards.shape == (1, 4, 2)
-    assert np.all(np.isfinite(group.rewards))
-    assert np.all(group.rewards >= 0)
-    assert group.entropies.shape == (4,)
-    for items, logps in zip(group.items[0], group.logps[0]):
-        assert len(set(items.tolist())) == 3
-        # Collected log-probs must be exactly what rescoring them gives.
-        _, per_position = slate_log_prob(params, 3, items)
-        assert np.array_equal(logps, per_position)
+    for users in ([3], [3, 0, 7]):
+        B = len(users)
+        batch = collect_batch(frozen, world, np.array(users), 4, 3, np.random.default_rng(2))
+        # The caller may move the parameters, so no scan of the snapshot is kept.
+        assert batch.scan is None
+        assert batch.users.tolist() == users
+        assert batch.items.shape == batch.logps.shape == (B, 4, 3)
+        assert batch.rewards.shape == (B, 4, 2)
+        assert np.all(np.isfinite(batch.rewards))
+        assert np.all(batch.rewards >= 0)
+        assert batch.entropies.shape == (B * 4,)
+        for user, user_items, user_logps in zip(users, batch.items, batch.logps):
+            for items, logps in zip(user_items, user_logps):
+                assert len(set(items.tolist())) == 3
+                # Collected log-probs must be exactly what rescoring them gives.
+                _, per_position = slate_log_prob(params, user, items)
+                assert np.array_equal(logps, per_position)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="group_size"):
+        collect_batch(frozen, world, np.array([1]), 1, 3, rng)
+    with pytest.raises(ValueError, match="empty user batch"):
+        collect_batch(frozen, world, np.array([], dtype=np.intp), 4, 3, rng)
 
 
-def test_collect_group_deterministic(world):
+def test_collect_batch_deterministic(world):
+    """Equal seeds give equal batches, and the draws are one step's for the named users."""
     frozen = snapshot(make_params(world))
-    a = collect_group(
-        frozen, world, 1, 4, 3, np.random.default_rng(9)
-    )
-    b = collect_group(
-        frozen, world, 1, 4, 3, np.random.default_rng(9)
-    )
-    assert np.array_equal(a.items, b.items)
-    assert np.array_equal(a.logps, b.logps)
-    assert np.array_equal(a.rewards, b.rewards)
-    assert np.array_equal(a.entropies, b.entropies)
+    for users in (np.array([1]), np.array([1, 6, 4])):
+        a = collect_batch(frozen, world, users, 4, 3, np.random.default_rng(9))
+        b = collect_batch(frozen, world, users, 4, 3, np.random.default_rng(9))
+        noise = np.empty((len(users), 4, world.catalog.n_items))
+        draws = _draw_step(np.random.default_rng(9), noise, 3, world.config.feedback)
+        step = _collect_batch(frozen, world, users, draws)
+        for other in (b, step):
+            assert np.array_equal(a.users, other.users)
+            assert np.array_equal(a.items, other.items)
+            assert np.array_equal(a.logps, other.logps)
+            assert np.array_equal(a.rewards, other.rewards)
+            assert np.array_equal(a.entropies, other.entropies)
 
 
 def test_compute_gradient_matches_reference(world):
     config = small_config()
     params = make_params(world)
     frozen = snapshot(params)
-    groups = collect_batch_groups(frozen, world, [0, 2, 5], config)
+    batch = collect_batch(
+        frozen, world, np.array([0, 2, 5]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.5)
     for optimizer in ("sage", "gbpo", "grpo", "sage-no-decoupling"):
         cfg = replace(config, optimizer=optimizer)
-        result = compute_gradient(groups, params, frozen, cfg, tracker)
-        expected = reference_gradient(groups, params, cfg, tracker)
+        result = compute_gradient(batch, params, cfg, tracker)
+        expected = reference_gradient(batch, params, cfg, tracker)
         assert grads_close(result.gradient, expected)
         assert result.ratios.shape == result.coefficients.shape == (12,)
         # On-policy: every ratio is exactly 1.
@@ -268,31 +261,19 @@ def test_compute_gradient_matches_reference_off_policy(world):
     config = small_config()
     params = make_params(world)
     frozen = snapshot(params)
-    groups = collect_batch_groups(frozen, world, [1, 4, 7], config)
+    batch = collect_batch(
+        frozen, world, np.array([1, 4, 7]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.5)
-    first = compute_gradient(groups, params, frozen, config, tracker)
+    first = compute_gradient(batch, params, config, tracker)
     apply_update(params, first.gradient, OptimizerState(), config)
     for optimizer in ("sage", "gbpo", "grpo"):
         cfg = replace(config, optimizer=optimizer)
-        result = compute_gradient(groups, params, frozen, cfg, tracker)
-        expected = reference_gradient(groups, params, cfg, tracker)
+        result = compute_gradient(batch, params, cfg, tracker)
+        expected = reference_gradient(batch, params, cfg, tracker)
         assert grads_close(result.gradient, expected)
         assert result.ratios.max() > result.ratios.min()
-
-
-def user_batches(batch):
-    """The batch as a list of copied one-user batches, as ``collect_group`` returns them."""
-    G = batch.items.shape[1]
-    return [
-        StepBatch(
-            users=batch.users[b : b + 1].copy(),
-            items=batch.items[b : b + 1].copy(),
-            logps=batch.logps[b : b + 1].copy(),
-            rewards=batch.rewards[b : b + 1].copy(),
-            entropies=batch.entropies[b * G : (b + 1) * G].copy(),
-        )
-        for b in range(len(batch.users))
-    ]
 
 
 def assert_results_identical(a, b):
@@ -322,12 +303,13 @@ def test_fast_path_equals_rescoring_scan(n_users, group_size, slate_length, seed
     frozen = snapshot(params)
     rng = np.random.default_rng(seed)
     users = rng.choice(world.config.n_users, size=n_users, replace=False)
-    batch = collect(frozen, world, users, group_size, slate_length, rng)
+    noise = np.empty((n_users, group_size, world.catalog.n_items))
+    batch = _collect_batch(frozen, world, users, _draw_step(rng, noise, slate_length, world.config.feedback))
     rescan = SlateScan(np.stack([user_scores(params, int(u)) for u in users]), batch.items)
     assert np.array_equal(batch.scan.logps, rescan.logps)
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.0)
-    fast = compute_gradient(batch, params, frozen, config, tracker)
-    scanned = compute_gradient(replace(batch, scan=None), params, frozen, config, tracker)
+    fast = compute_gradient(batch, params, config, tracker)
+    scanned = compute_gradient(replace(batch, scan=None), params, config, tracker)
     assert_results_identical(fast, scanned)
 
 
@@ -343,7 +325,7 @@ def test_collected_entropies_are_list_entropy(n_users, group_size, slate_length,
     params = make_params(world, seed=seed)
     rng = np.random.default_rng(seed)
     users = rng.choice(world.config.n_users, size=n_users, replace=False)
-    batch = collect(snapshot(params), world, users, group_size, slate_length, rng)
+    batch = collect_batch(snapshot(params), world, users, group_size, slate_length, rng)
     slates = batch.items.reshape(-1, slate_length)
     assert batch.entropies.tolist() == [list_entropy(s, world.catalog.categories) for s in slates]
 
@@ -354,7 +336,7 @@ def test_collected_entropies_on_a_wide_catalog_within_one_ulp():
     params = make_params(world)
     rng = np.random.default_rng(4)
     users = np.arange(world.config.n_users)
-    batch = collect(snapshot(params), world, users, 8, 6, rng)
+    batch = collect_batch(snapshot(params), world, users, 8, 6, rng)
     expected = np.array([list_entropy(s, world.catalog.categories) for s in batch.items.reshape(-1, 6)])
     assert np.all(np.abs(batch.entropies - expected) <= np.spacing(expected))
 
@@ -367,10 +349,20 @@ def test_collected_entropies_on_a_wide_catalog_within_one_ulp():
     update_rule=st.sampled_from(("sgd", "adam")),
     constant_rewards=st.booleans(),
 )
-def test_batch_path_equals_group_adapter(
+# Off-policy Adam passes, whatever else the search draws.
+@example(
+    n_users=3, group_size=4, slate_length=3, seed=7, optimizer="sage",
+    updates=3, update_rule="adam", constant_rewards=False,
+)
+@example(
+    n_users=2, group_size=3, slate_length=2, seed=8, optimizer="grpo",
+    updates=3, update_rule="adam", constant_rewards=False,
+)
+def test_every_pass_matches_the_slate_reference(
     n_users, group_size, slate_length, seed, optimizer, updates, update_rule, constant_rewards
 ):
-    """Every pass of a step gives the same bits through the batch and through a list of one-user batches."""
+    """Every pass of a step, on-policy from the collection's scan and off-policy
+    after rescoring the moved users, equals the slate-by-slate reference."""
     world = tiny_world()
     config = small_config(
         optimizer=optimizer,
@@ -385,24 +377,23 @@ def test_batch_path_equals_group_adapter(
     frozen = snapshot(params)
     rng = np.random.default_rng(seed)
     users = rng.choice(world.config.n_users, size=n_users, replace=False)
-    batch = collect(frozen, world, users, group_size, slate_length, rng)
+    noise = np.empty((n_users, group_size, world.catalog.n_items))
+    batch = _collect_batch(frozen, world, users, _draw_step(rng, noise, slate_length, world.config.feedback))
     if constant_rewards:
         batch.rewards[:] = 1.0
-    groups = user_batches(batch)
     advantages = _batch_advantages(batch.rewards, config.resolve())
-    # The adapter's default advantages are the step's.
-    concat_rewards = StepBatch.concat(groups).rewards
-    assert np.array_equal(_batch_advantages(concat_rewards, config.resolve()), advantages)
+    assert np.allclose(advantages, reference_advantages(batch, config.resolve()), rtol=1e-12, atol=1e-12)
     tracker = update_entropy_ema(EntropyTracker(decay=0.99), 1.0)
     state = OptimizerState()
-    for _ in range(updates):
-        fast = compute_gradient(batch, params, frozen, config, tracker, advantages)
-        adapted = compute_gradient(groups, params, frozen, config, tracker)
-        assert_results_identical(fast, adapted)
+    for k in range(updates):
+        result = compute_gradient(batch, params, config, tracker, advantages)
+        assert grads_close(result.gradient, reference_gradient(batch, params, config, tracker))
+        if k == 0:
+            assert np.all(result.ratios == 1.0)
         if constant_rewards:
-            assert not np.any(fast.gradient.item_bias)
+            assert not np.any(result.gradient.item_bias)
         batch.scan = None
-        params = apply_update(params, fast.gradient, state, config)
+        params = apply_update(params, result.gradient, state, config)
 
 
 def test_on_policy_optimizers_agree(world):
@@ -410,10 +401,13 @@ def test_on_policy_optimizers_agree(world):
     config = small_config()
     params = make_params(world)
     frozen = snapshot(params)
-    groups = collect_batch_groups(frozen, world, [2, 6, 8], config)
+    batch = collect_batch(
+        frozen, world, np.array([2, 6, 8]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
     results = {
         name: compute_gradient(
-            groups, params, frozen, replace(config, optimizer=name),
+            batch, params, replace(config, optimizer=name),
             EntropyTracker(decay=0.99),
         )
         for name in ("sage", "gbpo", "grpo")
@@ -460,7 +454,7 @@ def one_step(batch, optimizer, tracker, advantages):
         optimizer=optimizer, group_size=2, slate_length=2, learning_rate=0.1, embedding_dim=2
     )
     params = hand_params()
-    result = compute_gradient(batch, params, snapshot(params), config, tracker, advantages)
+    result = compute_gradient(batch, params, config, tracker, advantages)
     return result, apply_update(params, result.gradient, OptimizerState(), config)
 
 
@@ -521,13 +515,16 @@ def test_constant_rewards_give_zero_gradient(world):
     config = small_config()
     params = make_params(world)
     frozen = snapshot(params)
-    groups = collect_batch_groups(frozen, world, [0, 1], config)
-    flat = [replace(g, rewards=np.ones_like(g.rewards)) for g in groups]
-    result = compute_gradient(flat, params, frozen, config, EntropyTracker(decay=0.99))
+    batch = collect_batch(
+        frozen, world, np.array([0, 1]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
+    flat = replace(batch, rewards=np.ones_like(batch.rewards))
+    result = compute_gradient(flat, params, config, EntropyTracker(decay=0.99))
     assert np.all(result.gradient.item_bias == 0.0)
     assert np.all(result.gradient.item_embeddings == 0.0)
     assert np.all(result.gradient.user_embeddings == 0.0)
-    assert not np.any(_batch_advantages(StepBatch.concat(flat).rewards, config))
+    assert not np.any(_batch_advantages(flat.rewards, config))
     assert np.all(result.ratios == 1.0) and np.all(result.coefficients == 1.0)
 
 
@@ -535,10 +532,13 @@ def test_compute_gradient_rejects_corrupt_logps(world):
     config = small_config()
     params = make_params(world)
     frozen = snapshot(params)
-    groups = collect_batch_groups(frozen, world, [0, 1], config)
-    groups[0].logps[0, 1] = -1e3
+    batch = collect_batch(
+        frozen, world, np.array([0, 1]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
+    batch.logps[0, 1] = -1e3
     with pytest.raises(NumericAbort, match="non-finite sequence ratio"):
-        compute_gradient(groups, params, frozen, config, EntropyTracker(decay=0.99))
+        compute_gradient(batch, params, config, EntropyTracker(decay=0.99))
 
 
 def test_underflowed_ratios_give_finite_gradients(world):
@@ -546,12 +546,14 @@ def test_underflowed_ratios_give_finite_gradients(world):
     config = small_config()
     params = make_params(world)
     frozen = snapshot(params)
-    groups = collect_batch_groups(frozen, world, [0, 1, 2], config)
-    for g in groups:
-        g.logps += 800.0
+    batch = collect_batch(
+        frozen, world, np.array([0, 1, 2]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
+    batch.logps += 800.0
     for optimizer in ("sage", "gbpo", "grpo"):
         cfg = replace(config, optimizer=optimizer)
-        result = compute_gradient(groups, params, frozen, cfg, EntropyTracker(decay=0.99))
+        result = compute_gradient(batch, params, cfg, EntropyTracker(decay=0.99))
         assert not np.any(result.ratios)
         assert result.gradient.all_finite()
         assert not np.any(result.coefficients)
@@ -560,9 +562,12 @@ def test_underflowed_ratios_give_finite_gradients(world):
 def test_compute_gradient_validates_batch(world):
     config = small_config()
     params = make_params(world)
-    frozen = snapshot(params)
-    with pytest.raises(ValueError):
-        compute_gradient([], params, frozen, config, EntropyTracker(decay=0.99))
+    batch = collect_batch(
+        snapshot(params), world, np.array([0, 1]), config.group_size, config.slate_length,
+        np.random.default_rng(5),
+    )
+    with pytest.raises(ValueError, match="slate length disagrees with config"):
+        compute_gradient(batch, params, replace(config, slate_length=4), EntropyTracker(decay=0.99))
 
 
 def test_apply_update_sgd_oracle(world):
@@ -626,8 +631,8 @@ def test_report_statistics_are_the_steps(world, monkeypatch):
     """Advantage statistics are the step's; coefficient means are its last pass's."""
     passes = []
 
-    def spy(batch, params, frozen, config, tracker, advantages=None):
-        result = real(batch, params, frozen, config, tracker, advantages)
+    def spy(batch, params, config, tracker, advantages=None):
+        result = real(batch, params, config, tracker, advantages)
         passes.append((advantages, result))
         return result
 
@@ -791,9 +796,20 @@ def test_train_zero_steps(world):
     assert not result.tracker.initialized
 
 
-def test_train_rejects_oversized_batch(world):
+def test_train_rejects_oversized_batch(world, monkeypatch):
+    """A user batch or a top-k ranking larger than the world is refused
+    before step 0, not at the first checkpoint."""
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the config was checked")
+
+    monkeypatch.setattr(trainer, "_collect_batch", no_step)
     with pytest.raises(ValueError, match="users_per_step"):
         train(small_config(users_per_step=11), world)
+    with pytest.raises(ValueError, match="eval_k"):
+        train(small_config(total_steps=40, checkpoint_every=40, eval_k=31), world)
+    monkeypatch.undo()
+    train(small_config(total_steps=1, eval_k=30), world)
 
 
 def test_train_checkpoint_records(world):
