@@ -46,6 +46,7 @@ from .policy import (
     init_policy,
     mean_first_position_mass,
     probe_work,
+    scan_slates,
     score_blocks,
     snapshot,
     user_scores,
@@ -291,7 +292,7 @@ def _collect_batch(
     )
     flat = items.reshape(-1, slate_length)
     entropies = _slate_entropies(flat, world.catalog.categories, world.catalog.n_subcats)
-    return _build_groups(users, items, SlateScan(scores, items), rewards, entropies)
+    return _build_groups(users, items, scan_slates(scores, items), rewards, entropies)
 
 
 def _batch_advantages(rewards: np.ndarray, config: TrainConfig) -> np.ndarray:
@@ -322,16 +323,18 @@ def compute_gradient(
     the pass's per-slate ratios and coefficients unreduced.
     """
     config = config.resolve()
-    if advantages is None:
-        advantages = _batch_advantages(batch.rewards, config)
     B, G, L = batch.items.shape
     if L != config.slate_length:
         raise ValueError("slate length disagrees with config")
     S = B * G
+    if advantages is None:
+        advantages = _batch_advantages(batch.rewards, config)
+    elif np.shape(advantages) != (S,):
+        raise ValueError(f"advantages must have shape ({S},), one per slate; got {np.shape(advantages)}")
 
     scan = batch.scan
     if scan is None:
-        scan = SlateScan(np.stack([user_scores(params, int(u)) for u in batch.users]), batch.items)
+        scan = scan_slates(np.stack([user_scores(params, int(u)) for u in batch.users]), batch.items)
     # Overflow here produces inf ratios, which the explicit check below turns
     # into a diagnosable error; the warning itself is noise.
     with np.errstate(over="ignore"):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from sagerec import simenv, trainer
+from sagerec.policy import PROBE_TILE, ROW_SCAN_ABOVE, RowScan
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -83,4 +84,32 @@ def test_trace_classifies_each_pass():
         trainer.train(config, world)
     assert tracer.calls["trainer.gradient_onpolicy"] == 4
     assert tracer.calls["trainer.gradient_offpolicy"] == 8
+    assert tracer.calls["bounds.coefficient"] == 12
+
+
+def test_trace_classifies_each_pass_above_the_row_scan_threshold(monkeypatch):
+    """The split holds where collection and the rescans take the per-row scan."""
+    n_items = max(ROW_SCAN_ABOVE, PROBE_TILE) + 500
+    world = simenv.build_world(
+        simenv.WorldConfig(n_items=n_items, n_subcats=5, n_users=10, n_pretrain_interactions=500, n_relevant=5),
+        seed=0,
+    )
+    kernels = []
+    real_scan = trainer.scan_slates
+
+    def recording_scan(scores, items):
+        scan = real_scan(scores, items)
+        kernels.append(type(scan))
+        return scan
+
+    monkeypatch.setattr(trainer, "scan_slates", recording_scan)
+    tracer = _tracing().Tracer()
+    config = trainer.TrainConfig(
+        group_size=4, users_per_step=4, total_steps=3, slate_length=3, updates_per_snapshot=4
+    )
+    with tracer.install():
+        trainer.train(config, world)
+    assert set(kernels) == {RowScan}
+    assert tracer.calls["trainer.gradient_onpolicy"] == 3
+    assert tracer.calls["trainer.gradient_offpolicy"] == 9
     assert tracer.calls["bounds.coefficient"] == 12

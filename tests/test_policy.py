@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 from sagerec.policy import (
     _BLOCK_VALUES,
+    PROBE_TILE,
     PolicyGradient,
     PolicyParams,
     init_policy,
     load_checkpoint,
     log_prob_grad,
     mean_first_position_mass,
+    probe_work,
     save_checkpoint,
+    score_blocks,
     slate_log_prob,
     snapshot,
     user_scores,
@@ -218,6 +221,13 @@ def test_mean_first_position_mass_uniform_oracle():
     assert mass == pytest.approx(2 / 5, abs=1e-12)
 
 
+def test_mean_first_position_mass_refuses_an_item_outside_the_catalog():
+    params = zero_params(n_users=3, n_items=5)
+    for items in ([0, 5], [-1, 2]):
+        with pytest.raises(ValueError, match=r"probe item ids must lie in \[0, 5\)"):
+            mean_first_position_mass(params, np.array(items))
+
+
 def test_mean_first_position_mass_matches_per_user_distribution():
     params = init_policy(4, 9, 3, seed=17)
     items = np.array([2, 4, 8])
@@ -238,12 +248,14 @@ def test_mean_first_position_mass_matches_per_user_distribution():
 )
 # Five users in blocks of two: a last block of one row would round differently.
 @example(n_users=5, rows=2, n_items=1000, d=16, scale=1.0, seed=0)
+# A two-row buffer at 50 000 items holds tiles of 97 users: two row blocks.
+@example(n_users=150, rows=2, n_items=50_000, d=16, scale=1.0, seed=0)
 def test_blocked_cold_probe_equals_one_block(n_users, rows, n_items, d, scale, seed):
     """At the catalog sizes the benchmark trains (1000 and 50 000 items), any
-    work block of two or more rows, whether or not it divides the users,
-    gives the bits of the probe over one block holding every user. Some
-    other shapes (300 items, or 100 or fewer with d >= 32) make this BLAS
-    pick a kernel by the block's rows, and the last bit can move."""
+    work buffer of two or more rows, whether or not its tiles divide the
+    users, gives the bits of the probe over one buffer holding every user.
+    Some other shapes (300 items, or 100 or fewer with d >= 32) make this
+    BLAS pick a kernel by the block's rows, and the last bit can move."""
     rng = np.random.default_rng(seed)
     params = PolicyParams(
         user_embeddings=rng.normal(0.0, scale, (n_users, d)),
@@ -255,6 +267,96 @@ def test_blocked_cold_probe_equals_one_block(n_users, rows, n_items, d, scale, s
     blocked = mean_first_position_mass(params, items, np.full((rows, n_items), np.nan))
     assert blocked == one
     assert mean_first_position_mass(params, items) == one
+
+
+def one_pass_probe(params: PolicyParams, items: np.ndarray, work: np.ndarray) -> float:
+    """The probe as one softmax pass over :func:`score_blocks`' blocks: the
+    oracle of ``mean_first_position_mass`` at ``n_items <= PROBE_TILE``."""
+    mass = np.empty(params.n_users)
+    for start, z in score_blocks(params, work):
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        mass[start : start + z.shape[0]] = z[:, items].sum(axis=1) / z.sum(axis=1)
+    return float(mass.mean())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_users=st.integers(1, 60),
+    rows=st.integers(1, 62),
+    n_items=st.one_of(st.integers(1, 120), st.sampled_from([300, 1000, PROBE_TILE])),
+    d=st.integers(1, 32),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_users=200, rows=200, n_items=1000, d=16, scale=1.0, seed=0)
+def test_probe_within_one_tile_is_the_one_pass_softmax_bitwise(n_users, rows, n_items, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(
+        user_embeddings=rng.normal(0.0, scale, (n_users, d)),
+        item_embeddings=rng.normal(0.0, scale, (n_items, d)),
+        item_bias=rng.normal(0.0, scale, n_items),
+    )
+    items = rng.permutation(n_items)[: rng.integers(0, n_items + 1)]
+    expected = one_pass_probe(params, items, np.empty((rows, n_items)))
+    assert mean_first_position_mass(params, items, np.empty((rows, n_items))) == expected
+    if rows == min(n_users, max(2, 2**19 // n_items)):
+        assert mean_first_position_mass(params, items) == expected
+
+
+def fsum_probe(scores: np.ndarray, items) -> float:
+    """Mean first-position mass on ``items`` of (n_users, n_items) ``scores``, summed with ``math.fsum``."""
+    masses = []
+    for row in scores.tolist():
+        m = max(row)
+        total = math.fsum(math.exp(s - m) for s in row)
+        masses.append(math.fsum(math.exp(row[i] - m) for i in items) / total)
+    return math.fsum(masses) / len(masses)
+
+
+def exact_score_params(scores: np.ndarray) -> PolicyParams:
+    """Parameters whose every score is one product ``1.0 * s``: exact in any BLAS kernel."""
+    n_users, n_items = scores.shape
+    return PolicyParams(np.eye(n_users), scores.T.copy(), np.zeros(n_items))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_users=st.integers(1, 6),
+    n_items=st.integers(PROBE_TILE + 1, 4 * PROBE_TILE),
+    scale=st.sampled_from([1.0, 30.0, 300.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_probe_matches_an_fsum_reference(n_users, n_items, scale, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(0.0, scale, (n_users, n_items))
+    # The last row's max sits in the last tile, 760 nats above the first tile.
+    scores[-1, :PROBE_TILE] = rng.uniform(-400.0, -360.0, PROBE_TILE)
+    scores[-1, PROBE_TILE:] = rng.uniform(-20.0, 20.0, n_items - PROBE_TILE)
+    scores[-1, -1] = 360.0
+    items = rng.permutation(n_items)[: rng.integers(1, n_items)]
+    items = np.append(items, n_items - 1)
+    params = exact_score_params(scores)
+    expected = fsum_probe(scores, items)
+    for work in (None, np.empty((2, n_items)), np.empty((n_users, n_items))):
+        got = mean_first_position_mass(params, items, work)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_probe_writes_only_the_buffer_it_is_given():
+    """Above one tile the probe scores inside ``work``: no score buffer of its own."""
+    rng = np.random.default_rng(3)
+    params = init_policy(50, 20_000, 8, seed=2)
+    items = np.flatnonzero(rng.random(20_000) < 0.2)
+    work = probe_work(params.n_users, params.n_items)
+    mean_first_position_mass(params, items, work)
+    tracemalloc.start()
+    try:
+        mean_first_position_mass(params, items, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * work.nbytes
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):

@@ -1,8 +1,10 @@
 """Property tests for the batched Plackett–Luce kernel and the partial top-k.
 
-The kernel (``gumbel_top_k`` and ``SlateScan``) is checked against a plain
-position-by-position reference: the masked log-softmax for log-probs and
-``test_policy``'s oracle ``next_item_distribution`` for gradient weights.
+The kernel (``gumbel_top_k`` and the two scans, the reference ``SlateScan``
+and the per-row ``RowScan``) is checked against a plain position-by-position
+reference: the masked log-softmax for log-probs and ``test_policy``'s oracle
+``next_item_distribution`` for gradient weights, or the Plackett–Luce law
+summed term by term with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sagerec.metrics import top_k_ids
-from sagerec.policy import PolicyParams, SlateScan, gumbel_top_k
+from sagerec.policy import ROW_SCAN_ABOVE, PolicyParams, RowScan, SlateScan, gumbel_top_k, scan_slates
 from test_policy import next_item_distribution
 
 
@@ -85,6 +87,7 @@ def test_scan_matches_positionwise_reference(batch):
 @settings(max_examples=40, deadline=None)
 @given(batches())
 def test_single_row_equals_its_batch_row_bitwise(batch):
+    """The reference kernel reduces every slate on its own."""
     scores, items, alpha = batch
     scan = SlateScan(scores, items)
     weights = scan.weights(alpha)
@@ -94,6 +97,136 @@ def test_single_row_equals_its_batch_row_bitwise(batch):
         for g in range(items.shape[1]):
             alone = SlateScan(scores[b : b + 1], items[b : b + 1, g : g + 1])
             assert alone.logps[0, 0].tobytes() == scan.logps[b, g].tobytes()
+
+
+def _law(row: np.ndarray, slate) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position log-probs and the summed weight vector of one slate under
+    the Plackett–Luce law, every normaliser a ``math.fsum`` of its terms."""
+    available = set(range(row.shape[0]))
+    logps, w = [], np.zeros(row.shape[0])
+    for item in slate:
+        m = max(row[j] for j in available)
+        lognorm = m + math.log(math.fsum(math.exp(row[j] - m) for j in available))
+        logps.append(row[item] - lognorm)
+        for j in available:
+            w[j] -= math.exp(row[j] - lognorm)
+        w[item] += 1.0
+        available.remove(item)
+    return np.array(logps), w
+
+
+CASES = ("plain", "scale300", "collapsed", "shared", "covering", "crowded")
+
+
+@st.composite
+def hard_batches(draw):
+    """Batches at small n for both scans, one case each:
+
+    - ``scale300``: scores spread over 300 nats;
+    - ``collapsed``: every slate of a row holds the same L items, scored 126
+      nats above the rest, so about 1e-55 of the mass lies outside a slate;
+    - ``shared``: a row's slates draw from a pool of L + 1 items;
+    - ``covering``: the row's slates together hold every item;
+    - ``crowded``: G·L > n.
+    """
+    case = draw(st.sampled_from(CASES))
+    n = draw(st.integers(2, 9))
+    L = draw(st.integers(1, n))
+    B = draw(st.integers(1, 3))
+    G = draw(st.integers(1, 4))
+    if case in ("covering", "crowded"):
+        G = max(G, -(-n // L) + (case == "crowded"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 300.0 if case == "scale300" else 30.0
+    scores = rng.uniform(-spread / 2, spread / 2, size=(B, n))
+    items = np.empty((B, G, L), dtype=np.intp)
+    for b in range(B):
+        perm = rng.permutation(n)
+        for g in range(G):
+            if case == "collapsed":
+                items[b, g] = rng.permutation(perm[:L])
+            elif case == "shared":
+                items[b, g] = rng.permutation(perm[: min(n, L + 1)])[:L]
+            elif case == "covering":
+                items[b, g] = perm[(g * L + np.arange(L)) % n]
+            else:
+                items[b, g] = rng.permutation(n)[:L]
+        if case == "collapsed":
+            scores[b] = rng.normal(size=n)
+            scores[b, perm[:L]] += 126.0
+    return scores, items, rng.normal(size=(B, G))
+
+
+def _assert_logps_close(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Within 1e-12 relative; a log-prob near 0 is held to 1e-12 absolute."""
+    assert np.all(np.abs(actual - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
+
+
+def _assert_weights_close(actual: np.ndarray, expected: np.ndarray, alpha: np.ndarray) -> None:
+    """Within 1e-12 of the largest weight. A chosen item's weight is 1 minus
+    its probability, which cancels to a few ulps of alpha when the slate
+    holds almost all the mass, so the bound never goes below 1e-15 sum |alpha|."""
+    scale = max(np.max(np.abs(expected)), 1e-3 * np.abs(alpha).sum())
+    assert np.max(np.abs(actual - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kernel", [SlateScan, RowScan])
+@settings(max_examples=80, deadline=None)
+@given(batch=hard_batches())
+def test_both_scans_match_the_plackett_luce_law(kernel, batch):
+    scores, items, alpha = batch
+    B, G, _ = items.shape
+    scan = kernel(scores, items)
+    weights = scan.weights(alpha)
+    for b in range(B):
+        expected_w = np.zeros(scores.shape[1])
+        for g in range(G):
+            logps, w = _law(scores[b], [int(i) for i in items[b, g]])
+            _assert_logps_close(scan.logps[b, g], logps)
+            expected_w += alpha[b, g] * w
+        _assert_weights_close(weights[b], expected_w, alpha[b])
+
+
+@settings(max_examples=80, deadline=None)
+@given(hard_batches())
+def test_row_scan_matches_the_reference_kernel(batch):
+    scores, items, alpha = batch
+    row, ref = RowScan(scores, items), SlateScan(scores, items)
+    _assert_logps_close(row.logps, ref.logps)
+    for b, (w_row, w_ref) in enumerate(zip(row.weights(alpha), ref.weights(alpha))):
+        _assert_weights_close(w_row, w_ref, alpha[b])
+
+
+@settings(max_examples=30, deadline=None)
+@given(hard_batches())
+def test_row_scan_rows_do_not_depend_on_other_rows(batch):
+    """A row's union is its own, so a row scanned alone gives its bits in the batch."""
+    scores, items, alpha = batch
+    scan = RowScan(scores, items)
+    weights = scan.weights(alpha)
+    for b in range(items.shape[0]):
+        alone = RowScan(scores[b : b + 1], items[b : b + 1])
+        assert alone.logps.tobytes() == scan.logps[b : b + 1].tobytes()
+        assert alone.weights(alpha[b : b + 1]).tobytes() == weights[b : b + 1].tobytes()
+
+
+@pytest.mark.parametrize("spread", [1.0, 300.0])
+def test_row_scan_probabilities_of_all_ordered_slates_sum_to_one(spread):
+    """Every ordered slate of 3 from 5 items, one per slate of one row: the
+    union covers the catalog, and the law's probabilities sum to 1."""
+    n, L = 5, 3
+    scores = np.random.default_rng(7).uniform(-spread / 2, spread / 2, size=(1, n))
+    slates = np.array(list(itertools.permutations(range(n), L)))[None]
+    scan = RowScan(scores, slates)
+    assert math.fsum(np.exp(scan.logps.sum(axis=2)).ravel()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dispatch_keeps_every_catalog_of_1000_items_or_fewer_on_the_reference_kernel():
+    assert ROW_SCAN_ABOVE >= 1000
+    items = np.array([[[0, 1, 2]]])
+    for n in (3, 300, 1000, ROW_SCAN_ABOVE):
+        assert type(scan_slates(np.zeros((1, n)), items)) is SlateScan
+    assert type(scan_slates(np.zeros((1, ROW_SCAN_ABOVE + 1)), items)) is RowScan
 
 
 def test_catalog_covering_slates_have_no_outside_term():

@@ -568,6 +568,11 @@ def test_compute_gradient_validates_batch(world):
     )
     with pytest.raises(ValueError, match="slate length disagrees with config"):
         compute_gradient(batch, params, replace(config, slate_length=4), EntropyTracker(decay=0.99))
+    # One advantage per slate: a single value must not broadcast over the batch.
+    S = batch.items.shape[0] * batch.items.shape[1]
+    for advantages in (np.array([1.0]), np.ones(S + 1), np.ones((S, 1))):
+        with pytest.raises(ValueError, match=rf"advantages must have shape \({S},\)"):
+            compute_gradient(batch, params, config, EntropyTracker(decay=0.99), advantages)
 
 
 def test_apply_update_sgd_oracle(world):
