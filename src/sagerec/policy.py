@@ -4,8 +4,10 @@ The policy scores item i for user u as ``user_emb(u) . item_emb(i) + item_bias(i
 and generates a slate by repeated softmax draws over the items not already
 picked (no-repeat masking): a Plackett–Luce distribution. One array kernel,
 ``gumbel_top_k`` to sample and ``scan_slates`` to score, serves both the
-training batches and the one-slate functions; ``scan_slates`` holds the one
-size rule between the reference ``SlateScan`` and the per-row ``RowScan``.
+training batches and the one-slate functions. ``SlateScan`` holds the one
+Plackett–Luce normaliser and its weights; ``RowScan`` reduces a large catalog
+to each row's slate items plus one column for all the others and runs
+``SlateScan`` on that, and ``scan_slates`` holds the one size rule between them.
 The cold-mass probe scores all users in cache-sized tiles of items, and
 ``score_blocks`` scores them in blocks of rows for the rankings. Everything
 is exact 64-bit numpy: log-probabilities and their analytic gradients are
@@ -164,55 +166,35 @@ class SlateScan:
     ``scores`` is (B, n), one row per user; ``items`` is (B, G, L), G slates
     of L distinct items per row. The normaliser at position t of a slate is
     ``logaddexp(out, LSE(score[i_t:]))``: ``out`` is the log-sum-exp of the
-    items outside the slate, and the second term is a reverse accumulation
-    over the slate's own L scores. Both are sums of positive terms, so no
-    digits cancel however much mass the prefix holds.
+    items outside the slate, taken in one masked pass per slate over a
+    (B, G, n) buffer shifted by the slate's own outside max, and the second
+    term is a reverse accumulation over the slate's own L scores. Both are
+    sums of positive terms, so no digits cancel however much mass the prefix
+    holds. Every slate is reduced on its own, so a slate's numbers do not
+    depend on the rest of the batch.
 
-    This is the reference kernel: ``out`` is taken in one masked pass per
-    slate over a (B, G, n) buffer, shifted by the slate's own outside max.
-    Every slate is reduced on its own, so a slate's numbers do not depend on
-    the rest of the batch. :class:`RowScan` gives the same numbers to
-    rounding with one pass per row; :func:`scan_slates` picks between them.
+    This is the one Plackett–Luce kernel. :class:`RowScan` runs it on a
+    reduced catalog for large catalogs; :func:`scan_slates` picks between them.
     """
 
     def __init__(self, scores: np.ndarray, items: np.ndarray) -> None:
-        B = items.shape[0]
-        self.items = items
-        self.chosen = scores[np.arange(B)[:, None, None], items]
-        out = self._outside(scores)
-        tail = np.logaddexp.accumulate(self.chosen[:, :, ::-1], axis=2)[:, :, ::-1]
-        self.lognorm = np.logaddexp(out[:, :, None], tail)
-        self.logps = self.chosen - self.lognorm
-
-    def _outside(self, scores: np.ndarray) -> np.ndarray:
-        """(B, G) log-sum-exp of the scores outside each slate."""
-        B, G, _ = self.items.shape
+        B, G, _ = items.shape
         rows = np.arange(B)[:, None, None]
+        self.items = items
+        self.chosen = scores[rows, items]
         # outside[b, g] holds exp(score - m) off slate (b, g) and 0 on it.
         self.outside = np.repeat(scores[:, None, :], G, axis=1)
-        self.outside[rows, np.arange(G)[None, :, None], self.items] = -np.inf
+        self.outside[rows, np.arange(G)[None, :, None], items] = -np.inf
         self.m = self.outside.max(axis=2)
         # A catalog-covering slate leaves nothing outside: its m is -inf.
         shift = np.where(np.isneginf(self.m), 0.0, self.m)
         np.subtract(self.outside, shift[:, :, None], out=self.outside)
         np.exp(self.outside, out=self.outside)
         with np.errstate(divide="ignore"):
-            return shift + np.log(self.outside.sum(axis=2))
-
-    def _own_terms(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (B*n) indices of the slates' own items, and alpha times their weights.
-
-        An item at position j is chosen once and available at positions up
-        to j, so it carries 1 minus its softmax mass summed over those positions.
-        """
-        B, n = alpha.shape[0], self.n_items
-        taken = np.exp(self.chosen + np.logaddexp.accumulate(-self.lognorm, axis=2))
-        flat = (np.arange(B)[:, None, None] * n + self.items).ravel()
-        return flat, (alpha[:, :, None] * (1.0 - taken)).ravel()
-
-    @property
-    def n_items(self) -> int:
-        return self.outside.shape[-1]
+            out = shift + np.log(self.outside.sum(axis=2))
+        tail = np.logaddexp.accumulate(self.chosen[:, :, ::-1], axis=2)[:, :, ::-1]
+        self.lognorm = np.logaddexp(out[:, :, None], tail)
+        self.logps = self.chosen - self.lognorm
 
     def weights(self, alpha: np.ndarray) -> np.ndarray:
         """Per row, sum over slates of alpha times the log-prob gradient weights.
@@ -223,102 +205,94 @@ class SlateScan:
         stored ``outside`` row times one scalar per slate. The slate's own
         items, available up to their position, are added with one bincount.
         """
-        B, n = alpha.shape[0], self.n_items
+        B, n = alpha.shape[0], self.outside.shape[2]
         out_coef = -alpha * np.exp(self.m[:, :, None] - self.lognorm).sum(axis=2)
         w = np.einsum("bg,bgn->bn", out_coef, self.outside)
-        flat, own = self._own_terms(alpha)
-        w += np.bincount(flat, own, minlength=B * n).reshape(B, n)
+        taken = np.exp(self.chosen + np.logaddexp.accumulate(-self.lognorm, axis=2))
+        flat = (np.arange(B)[:, None, None] * n + self.items).ravel()
+        w += np.bincount(
+            flat, (alpha[:, :, None] * (1.0 - taken)).ravel(), minlength=B * n
+        ).reshape(B, n)
         return w
 
 
-class RowScan(SlateScan):
-    """:class:`SlateScan`'s numbers without its (B, G, n) buffer, for large catalogs.
+class RowScan:
+    """:class:`SlateScan` on a reduced catalog: no (B, G, n) buffer, for large catalogs.
 
-    A row's union holds the items of any of its G slates, at most G·L of
-    them. One masked pass per row takes ``rest``, the log-sum-exp of the
-    items in none of the row's slates, shifted by their max m, and keeps
-    their exp(score - m) as a (B, n) buffer. A slate's ``out`` is the
-    log-sum-exp of ``rest`` and of the union items the slate does not hold:
-    positive terms only, so it is exact where subtracting the slate's mass
-    from the row's total would cancel. The weights of the items outside the
-    union are one scalar per row times that buffer; the union items get
-    their exact terms by one scatter. It agrees with the reference kernel to
-    rounding, not bit for bit. A row's numbers do not depend on the other
-    rows, but a slate's depend on the other slates of its row.
+    A row's union holds the items of any of its G slates, at most K = G·L
+    of them. One masked pass per row folds the items in none of the row's
+    slates into ``rest``, their log-sum-exp, and keeps their exp(score - m)
+    as a (B, n) buffer with its row sum. :class:`SlateScan` then scans the
+    row's slates over K + 1 columns: column 0 holds ``rest``, the others the
+    sorted union's scores with each repeat at -inf, and a slate item stands
+    at the column of its first copy. Column 0 is every item outside the
+    union at once, so the numbers are the reference kernel's to rounding,
+    not bit for bit. A row's numbers do not depend on the other rows, but a
+    slate's depend on the other slates of its row.
     """
 
-    def _outside(self, scores: np.ndarray) -> np.ndarray:
-        B, G, L = self.items.shape
-        n, K = scores.shape[1], G * L
-        rows = np.arange(B)
-        # The row's G·L items, sorted; a repeat of the item before it is
-        # counted once, at its first copy.
-        self.union = np.sort(self.items.reshape(B, K), axis=1)
-        repeat = np.zeros((B, K), dtype=bool)
+    def __init__(self, scores: np.ndarray, items: np.ndarray) -> None:
+        B, G, L = items.shape
+        rows = np.arange(B)[:, None]
+        flat = items.reshape(B, G * L)
+        order = np.argsort(flat, axis=1)
+        self.union = np.take_along_axis(flat, order, axis=1)
+        repeat = np.zeros(self.union.shape, dtype=bool)
         repeat[:, 1:] = self.union[:, 1:] == self.union[:, :-1]
+        # A slate item's column is 1 + the sorted index of its item's first copy.
+        first = np.maximum.accumulate(np.where(repeat, 0, np.arange(G * L)), axis=1)
+        slots = np.empty_like(flat)
+        np.put_along_axis(slots, order, 1 + first, axis=1)
         # outside[b] holds exp(score - m) off row b's union and 0 on it.
         self.outside = scores.copy()
-        self.outside[rows[:, None], self.union] = -np.inf
-        self.m = self.outside.max(axis=1)
+        self.outside[rows, self.union] = -np.inf
+        m = self.outside.max(axis=1)
         # A union that covers the catalog leaves nothing outside: its m is -inf.
-        shift = np.where(np.isneginf(self.m), 0.0, self.m)
+        shift = np.where(np.isneginf(m), 0.0, m)
         np.subtract(self.outside, shift[:, None], out=self.outside)
         np.exp(self.outside, out=self.outside)
+        self.total = self.outside.sum(axis=1)
+        reduced = np.empty((B, G * L + 1))
         with np.errstate(divide="ignore"):
-            rest = shift + np.log(self.outside.sum(axis=1))
-        # extra[b, g, k]: union item k's score where it is a first copy and
-        # slate g does not hold it, else -inf. A slate item's first copy is
-        # found by one search over the unions laid end to end, row b offset by b·n.
-        extra = np.where(repeat, -np.inf, scores[rows[:, None], self.union])
-        extra = np.repeat(extra[:, None, :], G, axis=1)
-        found = np.searchsorted(
-            (self.union + (rows * n)[:, None]).ravel(), (self.items + (rows * n)[:, None, None]).ravel()
-        )
-        slot = found.reshape(B, G, L) - (rows * K)[:, None, None]
-        extra[rows[:, None, None], np.arange(G)[None, :, None], slot] = -np.inf
-        # Each slate's terms are shifted by their max, ``top``; a slate with
-        # nothing outside it has top -inf and shifts by 0.
-        self.top = np.maximum(rest[:, None], extra.max(axis=2))
-        shift = np.where(np.isneginf(self.top), 0.0, self.top)
-        self.extra = np.exp(extra - shift[:, :, None])
-        with np.errstate(divide="ignore"):
-            return shift + np.log(np.exp(rest[:, None] - shift) + self.extra.sum(axis=2))
+            reduced[:, 0] = shift + np.log(self.total)
+        reduced[:, 1:] = np.where(repeat, -np.inf, scores[rows, self.union])
+        self.scan = SlateScan(reduced, slots.reshape(B, G, L))
+        self.logps = self.scan.logps
 
     def weights(self, alpha: np.ndarray) -> np.ndarray:
-        """As :meth:`SlateScan.weights`; items outside the row's union carry
-        exp(score - m) / Z_t, one scalar per row times the (B, n) buffer, and
-        the union items and the slates' own items are added by one scatter."""
-        B, n = alpha.shape[0], self.n_items
-        row_coef = -(alpha * np.exp(self.m[:, None, None] - self.lognorm).sum(axis=2)).sum(axis=1)
-        w = row_coef[:, None] * self.outside
-        # A union item outside slate g carries exp(score - top) times
-        # exp(top - lognorm_t) at every position t.
-        extra_coef = -alpha * np.exp(self.top[:, :, None] - self.lognorm).sum(axis=2)
-        union_w = np.einsum("bg,bgk->bk", extra_coef, self.extra)
-        union_flat = (np.arange(B)[:, None] * n + self.union).ravel()
-        flat, own = self._own_terms(alpha)
-        np.add.at(w.reshape(-1), np.concatenate([union_flat, flat]), np.concatenate([union_w.ravel(), own]))
+        """As :meth:`SlateScan.weights`, mapped back from the reduced catalog.
+
+        An item outside the union takes exp(score - rest) of column 0's
+        weight, its buffer entry over the row sum (0 where nothing is
+        outside); each union column's weight goes to its item, a repeat's
+        column adding 0.
+        """
+        reduced = self.scan.weights(alpha)
+        coef = np.divide(reduced[:, 0], self.total, out=np.zeros_like(self.total), where=self.total > 0)
+        w = coef[:, None] * self.outside
+        np.add.at(w, (np.arange(w.shape[0])[:, None], self.union), reduced[:, 1:])
         return w
 
 
-# Catalogs of more items than this are scanned by RowScan, the others by the
-# reference SlateScan. Scan plus weights, G 8, L 6, one BLAS thread on a
-# 2-vCPU Xeon: at B 4 the kernels cross between 1000 and 1500 items (at 1000,
-# 129-167 us for the reference and 112-182 us per row; at 1500, 144-208
-# against 124-170 us); at B 32 the per-row scan is 0.6x already at 1000
-# items; at 50 000 items it is 0.13-0.18x at B 4 and 0.07-0.09x at B 32.
-# 1024 is that crossover taken past 1000, so every world of 1000 items or
-# fewer keeps the reference kernel's bits.
+# Catalogs of more items than this are scanned by RowScan, which runs
+# SlateScan on each row's reduced catalog, the others by SlateScan on the
+# whole catalog. Scan plus weights, G 8, L 6, one BLAS thread on a 2-vCPU
+# Xeon, medians of 200 calls: at B 4 the kernels cross between 1000 and 1500
+# items (at 1000, 133-138 us whole and 151-159 us reduced; at 1500, 167-169
+# against 160-163 us); at B 32 the reduced scan is 0.63x already at 1000
+# items; at 50 000 items it is 0.18x at B 4 and 0.14x at B 32. 1024 is that
+# crossover taken past 1000, so every world of 1000 items or fewer keeps the
+# whole-catalog bits.
 ROW_SCAN_ABOVE = 1024
 
 
-def scan_slates(scores: np.ndarray, items: np.ndarray) -> SlateScan:
+def scan_slates(scores: np.ndarray, items: np.ndarray) -> SlateScan | RowScan:
     """The scan of (B, G, L) ``items`` under (B, n) ``scores``, by the one size rule on n."""
     kernel = RowScan if scores.shape[1] > ROW_SCAN_ABOVE else SlateScan
     return kernel(scores, items)
 
 
-def _scan_one(params: PolicyParams, user: int, items) -> SlateScan:
+def _scan_one(params: PolicyParams, user: int, items) -> SlateScan | RowScan:
     items = tuple(int(i) for i in items)
     if len(items) == 0:
         raise ValueError("empty item sequence")

@@ -42,6 +42,7 @@ from .policy import (
     ARRAY_NAMES,
     PolicyGradient,
     PolicyParams,
+    RowScan,
     SlateScan,
     init_policy,
     mean_first_position_mass,
@@ -183,7 +184,8 @@ class StepBatch:
 
     ``users`` is (B,); ``items`` and the snapshot's per-position ``logps`` are
     (B, G, L); ``rewards`` is (B, G, M); ``entropies`` is (B*G,). ``scan``, the
-    collection's :class:`SlateScan`, is valid while the parameters equal the snapshot.
+    collection's scan from :func:`scan_slates`, is valid while the parameters
+    equal the snapshot.
     """
 
     users: np.ndarray
@@ -191,7 +193,7 @@ class StepBatch:
     logps: np.ndarray
     rewards: np.ndarray
     entropies: np.ndarray
-    scan: SlateScan | None = None
+    scan: SlateScan | RowScan | None = None
 
 
 def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) -> np.ndarray:
@@ -202,7 +204,7 @@ def _slate_entropies(items: np.ndarray, categories: np.ndarray, n_subcats: int) 
     return np.maximum(count_entropy(counts), 0.0)
 
 
-def _build_groups(users, items, scan: SlateScan, rewards, entropies) -> StepBatch:
+def _build_groups(users, items, scan: SlateScan | RowScan, rewards, entropies) -> StepBatch:
     """Bundle the collection arrays into the step's batch."""
     return StepBatch(users, items, scan.logps, rewards, entropies, scan)
 

@@ -1,10 +1,10 @@
 """Property tests for the batched Plackett–Luce kernel and the partial top-k.
 
-The kernel (``gumbel_top_k`` and the two scans, the reference ``SlateScan``
-and the per-row ``RowScan``) is checked against a plain position-by-position
-reference: the masked log-softmax for log-probs and ``test_policy``'s oracle
-``next_item_distribution`` for gradient weights, or the Plackett–Luce law
-summed term by term with ``math.fsum``.
+The kernel (``gumbel_top_k`` and the reference ``SlateScan``, which the
+per-row ``RowScan`` runs on a reduced catalog) is checked against a plain
+position-by-position reference: the masked log-softmax for log-probs and
+``test_policy``'s oracle ``next_item_distribution`` for gradient weights, or
+the Plackett–Luce law summed term by term with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -162,29 +162,67 @@ def _assert_logps_close(actual: np.ndarray, expected: np.ndarray) -> None:
     assert np.all(np.abs(actual - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
 
 
-def _assert_weights_close(actual: np.ndarray, expected: np.ndarray, alpha: np.ndarray) -> None:
-    """Within 1e-12 of the largest weight. A chosen item's weight is 1 minus
-    its probability, which cancels to a few ulps of alpha when the slate
-    holds almost all the mass, so the bound never goes below 1e-15 sum |alpha|."""
-    scale = max(np.max(np.abs(expected)), 1e-3 * np.abs(alpha).sum())
-    assert np.max(np.abs(actual - expected)) <= 1e-12 * scale
+def _assert_weights_close(
+    actual: np.ndarray, expected: np.ndarray, alpha: np.ndarray, scores: np.ndarray, L: int
+) -> None:
+    """Within 1e-12 of the largest weight, or of the kernels' rounding floor.
+
+    A weight sums alpha times exp(score - lognorm) over L positions and the
+    row's slates. ``lognorm`` is rounded to a few ulps of itself, about
+    eps·max|score|, and exp turns that absolute error into a relative one:
+    each term is off by up to eps·max(1, max|score|) of its |alpha|. A chosen
+    item's 1 minus its probability cancels down to that error when the slate
+    holds almost all the mass, so the bound never goes below
+    4·eps·max(1, max|score|)·L·sum |alpha|.
+    """
+    floor = 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(scores))) * L * np.abs(alpha).sum()
+    assert np.max(np.abs(actual - expected)) <= max(1e-12 * np.max(np.abs(expected)), floor)
+
+
+def _law_batch(scores: np.ndarray, items: np.ndarray, alpha: np.ndarray) -> tuple:
+    """(B, G, L) law log-probs and (B, n) law weights, each slate's weighted by its alpha."""
+    logps, weights = np.zeros(items.shape), np.zeros(scores.shape)
+    for b, g in np.ndindex(items.shape[:2]):
+        logps[b, g], w = _law(scores[b], [int(i) for i in items[b, g]])
+        weights[b] += alpha[b, g] * w
+    return logps, weights
+
+
+# Two items 6.4 nats apart at -131 and -137: the first pick holds 99.8% of
+# the mass, so the weights are 1.6e-3 alpha after cancelling, and both
+# kernels' rounding (8.9e-15) sits above 1e-12 of them.
+PINNED = (
+    np.array([[-131.11501581324143, -137.53468515048004]]),
+    np.array([[[0, 1]]]),
+    np.array([[1.291]]),
+)
 
 
 @pytest.mark.parametrize("kernel", [SlateScan, RowScan])
 @settings(max_examples=80, deadline=None)
 @given(batch=hard_batches())
+@example(batch=PINNED)
 def test_both_scans_match_the_plackett_luce_law(kernel, batch):
     scores, items, alpha = batch
-    B, G, _ = items.shape
     scan = kernel(scores, items)
-    weights = scan.weights(alpha)
-    for b in range(B):
-        expected_w = np.zeros(scores.shape[1])
-        for g in range(G):
-            logps, w = _law(scores[b], [int(i) for i in items[b, g]])
-            _assert_logps_close(scan.logps[b, g], logps)
-            expected_w += alpha[b, g] * w
-        _assert_weights_close(weights[b], expected_w, alpha[b])
+    logps, expected = _law_batch(scores, items, alpha)
+    _assert_logps_close(scan.logps, logps)
+    for b, w in enumerate(scan.weights(alpha)):
+        _assert_weights_close(w, expected[b], alpha[b], scores[b], items.shape[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(hard_batches())
+@example(PINNED)
+def test_weight_bound_rejects_an_error_of_1e_9(batch):
+    """The rounding floor stays far below a real error in one weight."""
+    scores, items, alpha = batch
+    _, expected = _law_batch(scores, items, alpha)
+    for b, item in enumerate(items[:, 0, 0]):
+        perturbed = expected[b].copy()
+        perturbed[item] += 1e-9
+        with pytest.raises(AssertionError):
+            _assert_weights_close(perturbed, expected[b], alpha[b], scores[b], items.shape[2])
 
 
 @settings(max_examples=80, deadline=None)
@@ -194,7 +232,7 @@ def test_row_scan_matches_the_reference_kernel(batch):
     row, ref = RowScan(scores, items), SlateScan(scores, items)
     _assert_logps_close(row.logps, ref.logps)
     for b, (w_row, w_ref) in enumerate(zip(row.weights(alpha), ref.weights(alpha))):
-        _assert_weights_close(w_row, w_ref, alpha[b])
+        _assert_weights_close(w_row, w_ref, alpha[b], scores[b], items.shape[2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,6 +265,42 @@ def test_dispatch_keeps_every_catalog_of_1000_items_or_fewer_on_the_reference_ke
     for n in (3, 300, 1000, ROW_SCAN_ABOVE):
         assert type(scan_slates(np.zeros((1, n)), items)) is SlateScan
     assert type(scan_slates(np.zeros((1, ROW_SCAN_ABOVE + 1)), items)) is RowScan
+
+
+def _arrays(obj):
+    """Every array an object holds, through the objects it holds."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif hasattr(value, "__dict__"):
+            yield from _arrays(value)
+
+
+def test_row_scan_holds_no_array_of_one_entry_per_slate_and_item():
+    B, G, L, n = 4, 8, 6, 50_000
+    rng = np.random.default_rng(11)
+    scores = rng.normal(size=(B, n))
+    items = gumbel_top_k(scores, L, _log_exp(rng, (B, G, n)))
+    assert max(a.size for a in _arrays(SlateScan(scores, items))) >= B * G * n
+    scan = RowScan(scores, items)
+    assert max(a.size for a in _arrays(scan)) < B * G * n
+    assert any(isinstance(v, SlateScan) for v in vars(scan).values())
+
+
+@pytest.mark.parametrize("spread", [7.0, 885.0])
+@pytest.mark.parametrize("B", [4, 32])
+def test_scan_slates_above_the_threshold_matches_the_reference_kernel(B, spread):
+    """At 2000 items, slates drawn from the scores as in training."""
+    G, L, n = 8, 6, 2000
+    rng = np.random.default_rng(int(spread) + B)
+    scores = rng.uniform(-spread / 2, spread / 2, size=(B, n))
+    items = gumbel_top_k(scores, L, _log_exp(rng, (B, G, n)))
+    alpha = rng.normal(size=(B, G))
+    scan, ref = scan_slates(scores, items), SlateScan(scores, items)
+    assert n > ROW_SCAN_ABOVE and type(scan) is RowScan
+    _assert_logps_close(scan.logps, ref.logps)
+    for b, (w, w_ref) in enumerate(zip(scan.weights(alpha), ref.weights(alpha))):
+        _assert_weights_close(w, w_ref, alpha[b], scores[b], L)
 
 
 def test_catalog_covering_slates_have_no_outside_term():
