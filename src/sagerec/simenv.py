@@ -108,14 +108,8 @@ class InteractionLog:
         return np.bincount(self.item_ids, minlength=n_items)
 
 
-def generate_catalog(
-    n_items: int,
-    n_subcats: int,
-    zipf_exponent: float,
-    cold_fraction: float,
-    seed,
-) -> Catalog:
-    """Build the item side of the world.
+def generate_catalog(config: WorldConfig, seed) -> Catalog:
+    """Build the item side of the world of ``config``.
 
     Sub-categories are assigned round-robin, then a tenth of the items are
     rescattered so category sizes are uneven. Popularity follows a power law
@@ -125,12 +119,7 @@ def generate_catalog(
     of the catalog, and the global top values land on the least-exposed
     cold-fraction floor, where the latent winners live.
     """
-    if n_subcats < 2 or n_items < n_subcats:
-        raise ValueError("need n_items >= n_subcats >= 2")
-    if zipf_exponent < 0:
-        raise ValueError("zipf_exponent must be >= 0")
-    if not 0 < cold_fraction < 1:
-        raise ValueError("cold_fraction must lie in (0, 1)")
+    n_items, n_subcats = config.n_items, config.n_subcats
     rng = np.random.default_rng(seed)
 
     categories = np.arange(n_items) % n_subcats
@@ -141,7 +130,7 @@ def generate_catalog(
         categories[moved] = rng.integers(0, n_subcats, size=n_jitter)
 
     ranks = rng.permutation(n_items)
-    popularity = (ranks + 1.0) ** (-zipf_exponent)
+    popularity = (ranks + 1.0) ** (-config.zipf_exponent)
     popularity = popularity / popularity.sum()
 
     quality = rng.uniform(0.0, 1.0, n_items)
@@ -167,7 +156,7 @@ def generate_catalog(
     # catalog's best work: the global top quality values are swapped in, in
     # shuffled order, so the latent winners the optimizers are judged on
     # really are the items the logged history never surfaced.
-    floor_size = math.ceil(cold_fraction * n_items)
+    floor_size = math.ceil(config.cold_fraction * n_items)
     floor_items = np.lexsort((np.arange(n_items), popularity))[:floor_size]
     holders = np.argsort(quality, kind="stable")[-floor_size:]
     on_floor = np.zeros(n_items, dtype=bool)
@@ -190,16 +179,8 @@ def generate_catalog(
     return catalog
 
 
-def generate_users(
-    n_users: int,
-    n_subcats: int,
-    seed,
-    mainstream_weight: float = 0.5,
-    concentration: float = 0.3,
-    engagement_low: float = 20.0,
-    engagement_high: float = 60.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw user preference vectors with a shared mainstream tilt.
+def generate_users(config: WorldConfig, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the preference vectors of ``config``'s users, with a shared mainstream tilt.
 
     Returns the (n_users, n_subcats) preference rows, each on the simplex,
     and the (n_users,) watch-time engagement scales. Every user's preference
@@ -208,24 +189,18 @@ def generate_users(
     concentrates the population on the same few head categories, which is
     what lets diversity collapse become visible at the corpus level.
     """
-    if n_users < 1 or n_subcats < 2:
-        raise ValueError("need n_users >= 1 and n_subcats >= 2")
-    if not 0 <= mainstream_weight <= 1:
-        raise ValueError("mainstream_weight must lie in [0, 1]")
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
-    if not 0 < engagement_low <= engagement_high:
-        raise ValueError("engagement range must satisfy 0 < low <= high")
+    n_users, n_subcats = config.n_users, config.n_subcats
+    mainstream = config.mainstream_weight
     rng = np.random.default_rng(seed)
     prior = 1.0 / (np.arange(n_subcats) + 1.0)
     prior = prior / prior.sum()
     preference = np.empty((n_users, n_subcats))
     engagement = np.empty(n_users)
     for u in range(n_users):
-        own = rng.dirichlet(np.full(n_subcats, concentration))
-        pref = mainstream_weight * prior + (1.0 - mainstream_weight) * own
+        own = rng.dirichlet(np.full(n_subcats, config.preference_concentration))
+        pref = mainstream * prior + (1.0 - mainstream) * own
         preference[u] = pref / pref.sum()
-        engagement[u] = rng.uniform(engagement_low, engagement_high)
+        engagement[u] = rng.uniform(config.engagement_low, config.engagement_high)
     return preference, engagement
 
 
@@ -242,10 +217,6 @@ def logged_pretraining(
     the policy is pretrained on and the frequency distribution that defines
     cold items.
     """
-    if n_interactions < 1:
-        raise ValueError("n_interactions must be >= 1")
-    if not len(preference):
-        raise ValueError("need at least one user")
     rng = np.random.default_rng(seed)
     n_users = len(preference)
     user_ids = rng.integers(0, n_users, size=n_interactions)
@@ -317,52 +288,33 @@ def feedback(
 
 
 def identify_cold_items(
-    log, fraction: float, n_items: int, tiebreak: np.ndarray | None = None
+    counts: np.ndarray, fraction: float, tiebreak: np.ndarray
 ) -> frozenset[int]:
-    """Bottom ceil(fraction * n_items) items by interaction count.
+    """The ceil(fraction * n) coldest of the n items that ``counts`` counts interactions of.
 
-    ``log`` may be an :class:`InteractionLog` or a precomputed per-item count
-    vector. Items never interacted with count as zero and are the coldest.
-    Count ties are broken by ``tiebreak`` ascending when given (``build_world``
-    passes catalog popularity, so the least-exposed items win the tie), then
-    by item id so the set is reproducible.
+    Items never interacted with count as zero and are the coldest. Count ties
+    are broken by ``tiebreak`` ascending (``build_world`` passes catalog
+    popularity, so the least-exposed items win the tie), then by item id so
+    the set is reproducible.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must lie in (0, 1)")
-    if isinstance(log, InteractionLog):
-        if len(log) == 0:
-            raise ValueError("empty interaction log")
-        counts = log.item_counts(n_items)
-    else:
-        counts = np.asarray(log)
-        if counts.shape != (n_items,):
-            raise ValueError("count vector length must equal n_items")
-    k = math.ceil(fraction * n_items)
-    if tiebreak is None:
-        tiebreak = np.zeros(n_items)
-    elif np.asarray(tiebreak).shape != (n_items,):
-        raise ValueError("tiebreak vector length must equal n_items")
-    order = np.lexsort((np.arange(n_items), np.asarray(tiebreak), counts))
-    return frozenset(int(i) for i in order[:k])
+    n_items = len(counts)
+    order = np.lexsort((np.arange(n_items), tiebreak, counts))
+    return frozenset(int(i) for i in order[: math.ceil(fraction * n_items)])
 
 
 def relevant_items(
-    catalog: Catalog,
-    preference: np.ndarray,
-    config: FeedbackConfig,
-    n_relevant: int,
+    catalog: Catalog, preference: np.ndarray, config: WorldConfig
 ) -> list[frozenset[int]]:
-    """Ground-truth relevant set per ``preference`` row: top items by true click probability.
+    """Ground-truth relevant set per ``preference`` row: the ``config.n_relevant``
+    items of highest true click probability under ``config.feedback``.
 
     Ties are broken by item id so the sets are reproducible. Users are ranked
     one at a time, so no (n_users, n_items) logit matrix is built.
     """
-    if not 1 <= n_relevant <= catalog.n_items:
-        raise ValueError("n_relevant must lie in [1, n_items]")
     out = []
     for pref in preference:
-        logits = config.click_logits(pref[catalog.categories], catalog.quality)
-        out.append(frozenset(top_k_ids(logits, n_relevant)))
+        logits = config.feedback.click_logits(pref[catalog.categories], catalog.quality)
+        out.append(frozenset(top_k_ids(logits, config.n_relevant)))
     return out
 
 
@@ -376,7 +328,11 @@ def item_vectors(catalog: Catalog) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Knobs of the synthetic world; defaults give a minute-scale experiment."""
+    """Knobs of the synthetic world; defaults give a minute-scale experiment.
+
+    The generators read their values from here and check none of them again,
+    so each rule and default of the world is written once.
+    """
 
     n_items: int = 1000
     n_subcats: int = 24
@@ -392,7 +348,7 @@ class WorldConfig:
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
 
     def __post_init__(self) -> None:
-        # build_world's own checks, made when the config is built, so a config
+        # The world's only checks, made when the config is built, so a config
         # file reports them at the key's line before any output exists.
         if not 2 <= self.n_subcats <= self.n_items:
             raise ValueError("need n_items >= n_subcats >= 2")
@@ -436,28 +392,14 @@ def build_world(config: WorldConfig, seed: int) -> World:
     """
     ss = np.random.SeedSequence(seed)
     catalog_ss, users_ss, log_ss = ss.spawn(3)
-    catalog = generate_catalog(
-        config.n_items,
-        config.n_subcats,
-        config.zipf_exponent,
-        config.cold_fraction,
-        seed=catalog_ss,
-    )
-    preference, engagement = generate_users(
-        config.n_users,
-        config.n_subcats,
-        seed=users_ss,
-        mainstream_weight=config.mainstream_weight,
-        concentration=config.preference_concentration,
-        engagement_low=config.engagement_low,
-        engagement_high=config.engagement_high,
-    )
+    catalog = generate_catalog(config, seed=catalog_ss)
+    preference, engagement = generate_users(config, seed=users_ss)
     log = logged_pretraining(catalog, preference, config.n_pretrain_interactions, seed=log_ss)
-    cold = identify_cold_items(
-        log, config.cold_fraction, config.n_items, tiebreak=catalog.popularity
+    counts = log.item_counts(config.n_items)
+    catalog = catalog.with_cold_items(
+        identify_cold_items(counts, config.cold_fraction, catalog.popularity)
     )
-    catalog = catalog.with_cold_items(cold)
-    relevant = relevant_items(catalog, preference, config.feedback, config.n_relevant)
+    relevant = relevant_items(catalog, preference, config)
     return World(catalog, preference, engagement, log, relevant, config)
 
 

@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sagerec import trainer
+from sagerec import cli, trainer
 from sagerec.bounds import BoundConfig
 from sagerec.cli import main
-from sagerec.config import ConfigError, MetricConfig, load_experiment_config
+from sagerec.config import ConfigError, ExperimentConfig, MetricConfig, load_experiment_config
 from sagerec.simenv import WorldConfig, generate_catalog, save_catalog
+
+# The world of the small catalogs the eval tests save.
+CATALOG_WORLD = WorldConfig(n_items=10, n_subcats=3, zipf_exponent=1.0, n_relevant=10)
 
 MINIMAL = """\
 out_dir: {out}
@@ -132,9 +135,18 @@ def test_unknown_nested_key_has_line(tmp_path):
 
 
 def test_invalid_value_names_section(tmp_path):
-    body = "out_dir: x\nseeds: [0]\ntrain:\n  group_size: 1\n"
-    with pytest.raises(ConfigError, match="train"):
-        load_experiment_config(write_config(tmp_path, body))
+    for section, setting in (
+        ("train", "group_size: 1"),
+        ("metrics", "k: 0"),
+        ("metrics", "entropy_base: 1.0"),
+    ):
+        body = f"out_dir: x\nseeds: [0]\n{section}:\n  {setting}\n"
+        with pytest.raises(ConfigError, match=f"invalid {section}: "):
+            load_experiment_config(write_config(tmp_path, body))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        MetricConfig(k=0)
+    with pytest.raises(ValueError, match="entropy_base must be positive and not 1"):
+        MetricConfig(entropy_base=1.0)
 
 
 def test_seed_list_validation(tmp_path):
@@ -146,6 +158,8 @@ def test_seed_list_validation(tmp_path):
         load_experiment_config(write_config(tmp_path, "out_dir: x\nseeds: [a]\n"))
     with pytest.raises(ConfigError, match="integer"):
         load_experiment_config(write_config(tmp_path, "out_dir: x\nseeds: [true]\n"))
+    with pytest.raises(ConfigError, match="seeds must be a nonempty list"):
+        load_experiment_config(write_config(tmp_path, "out_dir: x\nseeds: []\n"))
 
 
 def test_overrides_apply_before_validation(tmp_path):
@@ -165,6 +179,20 @@ def test_cross_field_validation(tmp_path):
     )
     with pytest.raises(ConfigError, match="users_per_step"):
         load_experiment_config(write_config(tmp_path, body))
+    for section, setting, message in (
+        ("train", "slate_length: 31", "train.slate_length exceeds world.n_items"),
+        ("metrics", "k: 31", r"metrics\.k \(31\) exceeds world\.n_items"),
+        ("train", "eval_k: 31", r"train\.eval_k \(31\) exceeds world\.n_items"),
+    ):
+        body = (
+            "out_dir: x\nseeds: [0]\n"
+            f"world:\n  n_items: 30\n  n_subcats: 5\n{section}:\n  {setting}\n"
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_experiment_config(write_config(tmp_path, body))
+    # The loader refuses an empty out_dir first; the config refuses it on its own too.
+    with pytest.raises(ValueError, match="out_dir must be a nonempty path"):
+        ExperimentConfig(out_dir="", seeds=(0,))
 
 
 def test_malformed_yaml_reports_line(tmp_path):
@@ -310,11 +338,15 @@ def test_mistyped_value_exits_1_at_its_key(tmp_path, capsys, section, setting):
         "engagement_low: 90.0",
         "n_pretrain_interactions: 0",
         "preference_concentration: -1.0",
+        "n_users: 0",
+        "zipf_exponent: -1.0",
+        "mainstream_weight: 1.5",
+        "n_items: 3",
     ],
 )
 def test_invalid_world_value_exits_1_at_its_key(tmp_path, capsys, setting):
-    """A world value build_world would refuse is refused at its key's line,
-    before any output directory exists."""
+    """A world value ``WorldConfig`` refuses (the generators check none again)
+    is refused at its key's line, before any output directory exists."""
     out = tmp_path / "out"
     path = write_config(tmp_path, f"out_dir: {out}\nseeds: [0]\nworld:\n  {setting}\n")
     assert main(["run", str(path), "--quiet"]) == 1
@@ -360,6 +392,22 @@ def test_numeric_abort_names_its_step(tmp_path, monkeypatch, capsys):
     assert (manifest["seed"], manifest["variant"], manifest["step"]) == (0, None, bad_step)
     assert manifest["message"] == "non-finite bound coefficient"
     assert "numeric abort" in capsys.readouterr().err
+
+
+def test_a_runtime_error_other_than_a_numeric_abort_is_not_reported_as_one(
+    tmp_path, monkeypatch, capsys
+):
+    """``NumericAbort`` is the only numeric abort; ``NotImplementedError`` is a
+    ``RuntimeError`` too, but it propagates, with no exit code 2 and no error.json."""
+
+    def unimplemented(*args, **kwargs):
+        raise NotImplementedError("injected")
+
+    monkeypatch.setattr(cli, "train", unimplemented)
+    with pytest.raises(NotImplementedError, match="injected"):
+        main(["run", str(tiny_config(tmp_path)), "--quiet"])
+    assert "numeric abort" not in capsys.readouterr().err
+    assert not (tmp_path / "out" / "error.json").exists()
 
 
 def test_ablate_numeric_abort_names_its_variant(tmp_path, monkeypatch, capsys):
@@ -504,7 +552,7 @@ def test_eval_empty_cold_file_reports_absent(tmp_path, capsys):
 
 
 def test_eval_with_catalog_enables_diversity_metrics(tmp_path, capsys):
-    catalog = generate_catalog(10, 3, 1.0, 0.2, seed=0)
+    catalog = generate_catalog(CATALOG_WORLD, seed=0)
     catalog_path = tmp_path / "catalog.json"
     save_catalog(catalog, catalog_path)
     recs = tmp_path / "recs.csv"
@@ -562,7 +610,7 @@ def test_eval_with_catalog_enables_diversity_metrics(tmp_path, capsys):
 def test_eval_rejects_a_malformed_catalog(tmp_path, capsys, edit, message):
     """``edit`` maps the saved payload to a new payload or to the file's raw bytes."""
     catalog_path = tmp_path / "catalog.json"
-    save_catalog(generate_catalog(10, 3, 1.0, 0.2, seed=0), catalog_path)
+    save_catalog(generate_catalog(CATALOG_WORLD, seed=0), catalog_path)
     edited = edit(json.loads(catalog_path.read_text()))
     catalog_path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
     recs = tmp_path / "recs.csv"

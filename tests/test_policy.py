@@ -493,6 +493,12 @@ def _ragged(p):
         (lambda p: {**p, "n_users": 3.0}, r"n_users must be an integer, got 3\.0"),
         (lambda p: {**p, "n_items": 5.0}, r"n_items must be an integer, got 5\.0"),
         (lambda p: {**p, "d": True}, r"d must be an integer, got true"),
+        (lambda p: {**p, "n_users": 4}, r"checkpoint dimensions inconsistent with matrices"),
+        (lambda p: {**p, "item_bias": [0.0] * 4}, r"item_bias shape does not match item count"),
+        (
+            lambda p: {**p, "user_embeddings": [row[:3] for row in p["user_embeddings"]]},
+            r"user and item embeddings disagree on dimension: 3 vs 4",
+        ),
     ],
     ids=[
         "list",
@@ -511,6 +517,9 @@ def _ragged(p):
         "n-users-float",
         "n-items-float",
         "d-bool",
+        "n-users-disagrees",
+        "item-bias-length",
+        "embedding-dims-disagree",
     ],
 )
 def test_load_checkpoint_rejects_a_malformed_payload(tmp_path, edit, message):

@@ -26,13 +26,29 @@ from sagerec.simenv import (
 )
 
 
+def make_catalog(n_items: int, n_subcats: int, zipf_exponent: float, seed):
+    """The catalog of a world of these sizes, at ``WorldConfig``'s default cold fraction.
+
+    The catalog does not read ``n_relevant``; 1 keeps a 10-item world valid.
+    """
+    config = WorldConfig(
+        n_items=n_items, n_subcats=n_subcats, zipf_exponent=zipf_exponent, n_relevant=1
+    )
+    return generate_catalog(config, seed)
+
+
+def make_users(n_users: int, n_subcats: int, seed, **knobs):
+    """(preference, engagement) of a world with these sizes and ``WorldConfig`` ``knobs``."""
+    return generate_users(WorldConfig(n_users=n_users, n_subcats=n_subcats, **knobs), seed)
+
+
 def uniform_users(n_subcats: int, engagement: float = 30.0, n: int = 1):
     """(preference, engagement) arrays of ``n`` users with uniform taste."""
     return np.full((n, n_subcats), 1.0 / n_subcats), np.full(n, engagement)
 
 
 def test_generate_catalog_shapes_and_ranges():
-    cat = generate_catalog(100, 8, 1.1, 0.2, seed=4)
+    cat = make_catalog(100, 8, 1.1, seed=4)
     assert cat.n_items == 100
     assert cat.categories.min() >= 0 and cat.categories.max() < 8
     assert np.all((cat.quality >= 0) & (cat.quality <= 1))
@@ -42,22 +58,22 @@ def test_generate_catalog_shapes_and_ranges():
 
 
 def test_generate_catalog_deterministic():
-    a = generate_catalog(60, 6, 1.3, 0.2, seed=9)
-    b = generate_catalog(60, 6, 1.3, 0.2, seed=9)
+    a = make_catalog(60, 6, 1.3, seed=9)
+    b = make_catalog(60, 6, 1.3, seed=9)
     assert np.array_equal(a.categories, b.categories)
     assert np.array_equal(a.quality, b.quality)
     assert np.array_equal(a.popularity, b.popularity)
 
 
 def test_generate_catalog_zero_exponent_is_uniform():
-    cat = generate_catalog(50, 5, 0.0, 0.2, seed=1)
+    cat = make_catalog(50, 5, 0.0, seed=1)
     assert np.all(np.abs(cat.popularity - 1.0 / 50) < 1e-9)
 
 
 def test_generate_catalog_tail_contains_quality():
     """The less-popular half of the catalog holds every at-least-median quality value."""
     for seed in range(6):
-        cat = generate_catalog(100, 8, 1.2, 0.2, seed=seed)
+        cat = make_catalog(100, 8, 1.2, seed=seed)
         pool = np.lexsort((np.arange(100), cat.popularity))[:50]
         median_q = np.median(cat.quality)
         assert np.all(cat.quality[pool] >= median_q)
@@ -68,34 +84,25 @@ def test_generate_catalog_tail_contains_quality():
 def test_generate_catalog_floor_holds_top_quality():
     """The least-popular cold-fraction floor holds exactly the top quality values."""
     for seed in range(6):
-        cat = generate_catalog(100, 8, 1.2, 0.2, seed=seed)
+        cat = make_catalog(100, 8, 1.2, seed=seed)
         floor = np.lexsort((np.arange(100), cat.popularity))[:20]
         top_values = np.sort(cat.quality)[-20:]
         assert np.array_equal(np.sort(cat.quality[floor]), top_values)
 
 
-def test_generate_catalog_rejects_bad_args():
-    with pytest.raises(ValueError):
-        generate_catalog(4, 8, 1.0, 0.2, seed=0)
-    with pytest.raises(ValueError):
-        generate_catalog(20, 1, 1.0, 0.2, seed=0)
-    with pytest.raises(ValueError):
-        generate_catalog(20, 4, 1.0, 1.5, seed=0)
-
-
 def test_generate_users_simplex_and_determinism():
-    pref, engagement = generate_users(30, 10, seed=2)
+    pref, engagement = make_users(30, 10, seed=2)
     assert pref.shape == (30, 10) and engagement.shape == (30,)
     assert np.all(pref >= 0)
     assert np.all(np.abs(pref.sum(axis=1) - 1.0) <= 1e-9)
     assert np.all((engagement >= 20.0) & (engagement <= 60.0))
-    again_pref, again_engagement = generate_users(30, 10, seed=2)
+    again_pref, again_engagement = make_users(30, 10, seed=2)
     assert np.array_equal(pref, again_pref)
     assert np.array_equal(engagement, again_engagement)
 
 
 def test_generate_users_pure_mainstream_collapses_to_prior():
-    pref, _ = generate_users(5, 6, seed=0, mainstream_weight=1.0)
+    pref, _ = make_users(5, 6, seed=0, mainstream_weight=1.0)
     prior = 1.0 / (np.arange(6) + 1.0)
     prior = prior / prior.sum()
     for row in pref:
@@ -103,8 +110,8 @@ def test_generate_users_pure_mainstream_collapses_to_prior():
 
 
 def test_logged_pretraining_deterministic_and_in_range():
-    cat = generate_catalog(40, 4, 1.1, 0.2, seed=3)
-    pref, _ = generate_users(6, 4, seed=5)
+    cat = make_catalog(40, 4, 1.1, seed=3)
+    pref, _ = make_users(6, 4, seed=5)
     log1 = logged_pretraining(cat, pref, 500, seed=11)
     log2 = logged_pretraining(cat, pref, 500, seed=11)
     assert len(log1) == 500
@@ -116,7 +123,7 @@ def test_logged_pretraining_deterministic_and_in_range():
 
 def test_logged_pretraining_extreme_popularity_concentrates():
     # With a huge exponent all weight sits on the single most popular item.
-    cat = generate_catalog(10, 2, 60.0, 0.2, seed=7)
+    cat = make_catalog(10, 2, 60.0, seed=7)
     pref, _ = uniform_users(2)
     log = logged_pretraining(cat, pref, 300, seed=1)
     top = int(np.argmax(cat.popularity))
@@ -125,7 +132,7 @@ def test_logged_pretraining_extreme_popularity_concentrates():
 
 def test_logged_pretraining_counts_track_weights():
     """Single-user draw frequencies stay within 3 sigma of the sampling weights."""
-    cat = generate_catalog(12, 3, 0.8, 0.2, seed=8)
+    cat = make_catalog(12, 3, 0.8, seed=8)
     pref, _ = uniform_users(3)
     n = 20000
     log = logged_pretraining(cat, pref, n, seed=2)
@@ -148,7 +155,7 @@ def score_one(user, items, cat, rng, cfg):
 
 
 def test_feedback_floor_and_ceiling():
-    cat = generate_catalog(20, 4, 1.0, 0.2, seed=0)
+    cat = make_catalog(20, 4, 1.0, seed=0)
     user = uniform_users(4, engagement=10.0)
     rng = np.random.default_rng(0)
     floor_cfg = FeedbackConfig(click_bias=-1e3, watch_noise_sigma=0.0)
@@ -161,8 +168,8 @@ def test_feedback_floor_and_ceiling():
 
 
 def test_feedback_click_mean_matches_analytic():
-    cat = generate_catalog(30, 5, 1.0, 0.2, seed=6)
-    user = generate_users(1, 5, seed=3)
+    cat = make_catalog(30, 5, 1.0, seed=6)
+    user = make_users(1, 5, seed=3)
     pref = user[0][0]
     cfg = FeedbackConfig()
     items = np.array([0, 5, 12, 20, 28])
@@ -185,9 +192,9 @@ def test_feedback_click_mean_matches_analytic():
 
 
 def test_feedback_watch_needs_clicks():
-    cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
+    cat = make_catalog(20, 4, 1.0, seed=1)
     uniform_pref, uniform_engagement = uniform_users(4)
-    pref, engagement = generate_users(1, 4, seed=2)
+    pref, engagement = make_users(1, 4, seed=2)
     users = np.vstack([uniform_pref, pref]), np.concatenate([uniform_engagement, engagement])
     cfg = FeedbackConfig()
     rng = np.random.default_rng(5)
@@ -200,7 +207,7 @@ def test_feedback_watch_needs_clicks():
 
 
 def test_feedback_rejects_bad_slates():
-    cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
+    cat = make_catalog(20, 4, 1.0, seed=1)
     user = uniform_users(4)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -219,8 +226,8 @@ def test_feedback_rejects_bad_slates():
 
 
 def test_feedback_batch_rejects_out_of_range_ids():
-    cat = generate_catalog(20, 4, 1.0, 0.2, seed=1)
-    users = generate_users(3, 4, seed=9)
+    cat = make_catalog(20, 4, 1.0, seed=1)
+    users = make_users(3, 4, seed=9)
     rng = np.random.default_rng(0)
     slates = np.tile(np.arange(4), (3, 2, 1))
     assert score(users, slates, cat, rng, FeedbackConfig()).shape == (3, 2, 2)
@@ -233,8 +240,8 @@ def test_feedback_batch_rejects_out_of_range_ids():
 
 def test_feedback_random_stream_is_pinned():
     """A fixed seed scores one slate to the same numbers as the single-slate model it replaced."""
-    cat = generate_catalog(30, 5, 1.0, 0.2, seed=11)
-    user = generate_users(1, 5, seed=4)
+    cat = make_catalog(30, 5, 1.0, seed=11)
+    user = make_users(1, 5, seed=4)
     rng = np.random.default_rng(2024)
     clicks, watch = score_one(user, [2, 7, 11, 19, 23, 29], cat, rng, FeedbackConfig())
     assert clicks == 2.0
@@ -243,35 +250,28 @@ def test_feedback_random_stream_is_pinned():
 
 def test_identify_cold_items_oracle():
     counts = np.array([5, 1, 3, 0])
-    assert identify_cold_items(counts, 0.5, 4) == frozenset({1, 3})
-    assert identify_cold_items(counts, 0.999, 4) == frozenset({0, 1, 2, 3})
-    # All-equal counts fall back to the lowest ids.
-    assert identify_cold_items(np.full(6, 7), 0.5, 6) == frozenset({0, 1, 2})
+    assert identify_cold_items(counts, 0.5, np.zeros(4)) == frozenset({1, 3})
+    assert identify_cold_items(counts, 0.999, np.zeros(4)) == frozenset({0, 1, 2, 3})
+    # All-equal counts and tiebreak keys fall back to the lowest ids.
+    assert identify_cold_items(np.full(6, 7), 0.5, np.zeros(6)) == frozenset({0, 1, 2})
     # A tiebreak key beats the id fallback; ids still settle exact ties.
     key = np.array([3.0, 2.0, 1.0, 1.0, 5.0, 4.0])
-    assert identify_cold_items(np.full(6, 7), 0.5, 6, tiebreak=key) == frozenset({1, 2, 3})
-    with pytest.raises(ValueError):
-        identify_cold_items(np.full(6, 7), 0.5, 6, tiebreak=np.ones(4))
-
-
-def test_identify_cold_items_accepts_log_and_validates():
+    assert identify_cold_items(np.full(6, 7), 0.5, key) == frozenset({1, 2, 3})
+    # Counts of a log: item 1 is never interacted with and is the coldest.
     log = InteractionLog(
         user_ids=np.zeros(4, dtype=np.int64),
         item_ids=np.array([0, 0, 2, 2], dtype=np.int64),
     )
-    assert identify_cold_items(log, 0.333, 3) == frozenset({1})
-    assert identify_cold_items(log, 0.5, 3) == frozenset({0, 1})
-    with pytest.raises(ValueError):
-        identify_cold_items(np.array([1, 2]), 0.5, 3)
-    with pytest.raises(ValueError):
-        identify_cold_items(log, 0.0, 3)
+    assert identify_cold_items(log.item_counts(3), 0.333, np.zeros(3)) == frozenset({1})
+    assert identify_cold_items(log.item_counts(3), 0.5, np.zeros(3)) == frozenset({0, 1})
 
 
 def test_relevant_items_follow_click_probability():
-    cat = generate_catalog(15, 3, 1.0, 0.2, seed=4)
-    pref, _ = generate_users(1, 3, seed=9)
-    cfg = FeedbackConfig()
-    (rel,) = relevant_items(cat, pref, cfg, n_relevant=4)
+    config = WorldConfig(n_items=15, n_subcats=3, zipf_exponent=1.0, n_relevant=4)
+    cat = generate_catalog(config, seed=4)
+    pref, _ = make_users(1, 3, seed=9)
+    (rel,) = relevant_items(cat, pref, config)
+    cfg = config.feedback
     logits = (
         cfg.affinity_weight * pref[0, cat.categories]
         + cfg.quality_weight * cat.quality
@@ -279,12 +279,10 @@ def test_relevant_items_follow_click_probability():
     )
     expected = set(np.lexsort((np.arange(15), -logits))[:4].tolist())
     assert rel == frozenset(expected)
-    with pytest.raises(ValueError):
-        relevant_items(cat, pref, cfg, n_relevant=0)
 
 
 def test_item_vectors_layout():
-    cat = generate_catalog(10, 4, 1.0, 0.2, seed=2)
+    cat = make_catalog(10, 4, 1.0, seed=2)
     vecs = item_vectors(cat)
     assert vecs.shape == (10, 5)
     for i in range(10):
@@ -300,9 +298,7 @@ def test_build_world_cold_set_comes_from_log():
     )
     world = build_world(config, seed=13)
     assert len(world.catalog.cold_items) == math.ceil(0.2 * 80)
-    expected = identify_cold_items(
-        world.log, 0.2, 80, tiebreak=world.catalog.popularity
-    )
+    expected = identify_cold_items(world.log.item_counts(80), 0.2, world.catalog.popularity)
     assert world.catalog.cold_items == expected
     assert len(world.relevant) == 12
     assert world.preference.shape == (12, 6) and world.engagement.shape == (12,)
@@ -321,7 +317,7 @@ def test_build_world_deterministic():
 
 
 def test_catalog_json_roundtrip(tmp_path):
-    cat = generate_catalog(25, 4, 1.1, 0.2, seed=5).with_cold_items(frozenset({1, 7}))
+    cat = make_catalog(25, 4, 1.1, seed=5).with_cold_items(frozenset({1, 7}))
     path = tmp_path / "catalog.json"
     save_catalog(cat, path)
     loaded = load_catalog(path)
@@ -339,6 +335,6 @@ def test_catalog_rejects_foreign_json(tmp_path):
 
 
 def test_catalog_with_cold_items_validates_range():
-    cat = generate_catalog(10, 3, 1.0, 0.2, seed=0)
+    cat = make_catalog(10, 3, 1.0, seed=0)
     with pytest.raises(ValueError):
         cat.with_cold_items(frozenset({99}))

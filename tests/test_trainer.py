@@ -177,6 +177,16 @@ def test_train_config_validation():
     for clip_eps in (0.0, 1.0, 7.0, -0.2):
         with pytest.raises(ValueError, match="grpo_clip_eps"):
             small_config(grpo_clip_eps=clip_eps)
+    for key, value in (
+        ("slate_length", 0),
+        ("users_per_step", 0),
+        ("total_steps", -1),
+        ("update_rule", "rmsprop"),
+        ("embedding_dim", 0),
+        ("checkpoint_every", -1),
+    ):
+        with pytest.raises(ValueError, match=key):
+            small_config(**{key: value})
     small_config(eval_k=1, norm_eps=0.0, grpo_clip_eps=0.5)
 
 
@@ -557,6 +567,27 @@ def test_underflowed_ratios_give_finite_gradients(world):
         assert not np.any(result.ratios)
         assert result.gradient.all_finite()
         assert not np.any(result.coefficients)
+
+
+def test_compute_gradient_aborts_on_a_gradient_that_overflows():
+    """Ratios near e^698 stay finite, and so do the GRPO coefficients, but
+    weights that large times item embeddings of 1e8 overflow the user rows."""
+    params = PolicyParams(
+        user_embeddings=np.zeros((1, 2)),
+        item_embeddings=np.full((4, 2), 1e8),
+        item_bias=np.zeros(4),
+    )
+    batch = StepBatch(
+        users=np.array([0]),
+        items=np.array([[[0, 1], [2, 3]]]),
+        logps=np.full((1, 2, 2), -700.0),
+        rewards=np.array([[[1.0, 1.0], [0.0, 0.0]]]),
+        entropies=np.zeros(2),
+    )
+    config = small_config(optimizer="grpo", group_size=2, slate_length=2, embedding_dim=2)
+    with pytest.warns(RuntimeWarning, match="in matmul"):
+        with pytest.raises(NumericAbort, match="non-finite gradient"):
+            compute_gradient(batch, params, config, EntropyTracker(decay=0.99))
 
 
 def test_compute_gradient_validates_batch(world):
